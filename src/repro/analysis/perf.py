@@ -278,6 +278,12 @@ def bench_cold_simulate(repeat: int) -> PerfResult:
 
 
 def bench_policy_evaluation(repeat: int) -> PerfResult:
+    """Five policies priced on one fresh profile, one ``evaluate`` each.
+
+    Object side: the object-path oracle.  Columnar side: each
+    ``evaluate`` is a 1×1 call into the grid kernel on the profile's
+    memoized one-profile pack.
+    """
     spec = get_workload(PERF_WORKLOAD)
     config = SimulationConfig(chip=PERF_CHIP)
     chip, batch, parallelism = resolve_execution(spec, config)
@@ -312,8 +318,9 @@ def bench_batch_policy_evaluation(repeat: int) -> PerfResult:
 
     Object side: the per-profile object-path loops.  Columnar side: one
     :class:`~repro.gating.policies.PackedProfiles` packing shared by all
-    five policies, with every profile's derived caches dropped first so
-    each run is cold like a fresh deployment evaluation.
+    five policies, each priced by one ``batch_evaluate`` (an n×1 call
+    into the grid kernel), with every profile's derived caches dropped
+    first so each run is cold like a fresh deployment evaluation.
     """
     from repro.gating.policies import PackedProfiles
 
@@ -369,17 +376,18 @@ SENSITIVITY_GRID_PARAMETERS = tuple(
 
 
 def bench_sensitivity_grid(repeat: int) -> PerfResult:
-    """Grid-batched policy kernel vs the per-point path it replaced.
+    """The grid kernel with and without its parameter axis.
 
-    Unlike the other pairs, *both* sides run on the columnar fast path:
-    the "object" side is the per-point path a sensitivity sweep used
-    before the grid kernel (one ``batch_evaluate`` per gating-parameter
-    point), the "columnar" side one
+    Unlike the other pairs, *both* sides run on the columnar fast path
+    and the same kernel: the "object" side prices a sensitivity grid one
+    gating-parameter point at a time (one ``batch_evaluate``, i.e. an
+    n×1 kernel call, per point), the "columnar" side with one
     :meth:`~repro.gating.policies.PowerGatingPolicy.grid_evaluate` per
-    policy over the same packed profiles — so the pair isolates the
-    speedup of the grid kernel itself.  Derived table/pack caches are
-    dropped before every run (cold, like a fresh sweep), and the two
-    sides are asserted report-identical before timing.
+    policy over the same packed profiles — so the pair isolates what
+    riding the parameter axis along the packed reductions buys.
+    Derived table/pack caches are dropped before every run (cold, like
+    a fresh sweep), and the two sides are asserted report-identical
+    before timing.
     """
     from repro.gating.policies import PackedProfiles
 

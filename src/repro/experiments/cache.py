@@ -47,7 +47,7 @@ from repro.core.regate import (
 )
 from repro.core.results import SimulationResult
 from repro.gating.bet import GatingParameters, parameters_token
-from repro.gating.policies import ChipMajorPacks, PackedProfiles, get_policy
+from repro.gating.policies import get_policy
 from repro.gating.report import EnergyReport, PolicyName
 from repro.hardware.components import Component
 from repro.hardware.power import ChipPowerModel
@@ -604,19 +604,13 @@ class SimulationCache:
     def get_rows_packed(self, key: str) -> PackedRows | None:
         packed = self._rows.get(key)
         if packed is None and self._store is not None:
-            payload = self._store.get("rows:" + key)
-            if payload is not None:
-                packed = self._freeze_packed(self._decode_rows(payload))
+            packed = self._decode_rows(self._store.get("rows:" + key))
+            if packed is not None:
                 self._rows[key] = packed
         if packed is None and self._shared is not None:
-            payload = self._shared.get_json("rows", key)
-            if payload is not None:
-                try:
-                    packed = self._freeze_packed(self._decode_rows(payload))
-                except (KeyError, TypeError, ValueError):
-                    packed = None  # foreign/corrupt payload -> miss
-                else:
-                    self._rows[key] = packed
+            packed = self._decode_rows(self._shared.get_json("rows", key))
+            if packed is not None:
+                self._rows[key] = packed
         self._count(packed is not None)
         if packed is None:
             self.row_misses += 1
@@ -638,12 +632,15 @@ class SimulationCache:
                 "rows", key, {"columns": list(columns), "values": values}
             )
 
-    @staticmethod
-    def _decode_rows(payload: Any) -> PackedRows:
-        """Decode a disk row entry (packed dict, or a legacy dict list)."""
-        if isinstance(payload, dict):
-            return tuple(payload["columns"]), payload["values"]
-        return pack_rows(list(payload))
+    @classmethod
+    def _decode_rows(cls, payload: Any) -> PackedRows | None:
+        """Decode a disk row entry; anything but a packed dict is a miss."""
+        if not isinstance(payload, dict):
+            return None  # absent, foreign or corrupt payload
+        try:
+            return cls._freeze_packed((payload["columns"], payload["values"]))
+        except (KeyError, TypeError, ValueError):
+            return None
 
     def get_rows(self, key: str) -> list[dict[str, Any]] | None:
         """Row dicts of one sweep point (compatibility view)."""
@@ -848,22 +845,12 @@ class _ReportGroup:
         parameters = list(self.parameters.values())
         policy = get_policy(policy_name, parameters[0])
         if len(parameters) == 1:
-            if len(profiles) == 1:
-                power_model = ChipPowerModel.for_chip(profiles[0].chip)
-                reports = [policy.evaluate(profiles[0], power_model)]
-            else:
-                packed = ChipMajorPacks.pack(profiles)
-                reports = policy.batch_evaluate(
-                    packed if packed is not None else profiles
-                )
+            reports = policy.batch_evaluate(profiles)
             for rkey, (pkey, _token) in self.members.items():
                 yield rkey, reports[profile_index[pkey]]
             return
         token_index = {token: i for i, token in enumerate(self.parameters)}
-        packed = ChipMajorPacks.pack(profiles)
-        grid = policy.grid_evaluate(
-            packed if packed is not None else profiles, parameters
-        )
+        grid = policy.grid_evaluate(profiles, parameters)
         for rkey, (pkey, token) in self.members.items():
             yield rkey, (grid, token_index[token], profile_index[pkey])
 

@@ -84,12 +84,6 @@ class ShardError(ValueError):
     """A shard artifact is unreadable, foreign, duplicated or missing."""
 
 
-#: Backwards-compatible alias; the digest helper moved to
-#: :func:`repro.experiments.keys.file_digest` so the experiment catalog
-#: shares one definition with the artifact writer/verifier.
-_file_digest = file_digest
-
-
 def load_manifest(path: str | Path) -> dict[str, Any]:
     """Read and shape-check one artifact's ``manifest.json``.
 

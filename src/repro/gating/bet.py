@@ -32,11 +32,11 @@ _TOKEN_COUNTER = itertools.count()
 def parameters_token(parameters: "GatingParameters") -> int:
     """A process-unique token identifying one parameters instance.
 
-    ``GatingParameters`` is frozen but holds a dict, so it cannot be
-    hashed directly; the token lets caches key on the instance without
-    re-deriving anything from its content.  Entries are evicted when
-    the instance is collected (before its id can be reused), so a token
-    never aliases two different parameter sets.
+    Hashing ``GatingParameters`` walks its timing table; the token lets
+    caches key on the instance without re-deriving anything from its
+    content.  Entries are evicted when the instance is collected (before
+    its id can be reused), so a token never aliases two different
+    parameter sets.
     """
     key = id(parameters)
     token = _PARAMETER_TOKENS.get(key)
@@ -117,6 +117,9 @@ class _FrozenTimings(dict):
     __setitem__ = __delitem__ = _readonly
     clear = pop = popitem = setdefault = update = _readonly
     del _readonly
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.items()))
 
     def __reduce__(self):
         return (type(self), (dict(self),))
@@ -228,14 +231,11 @@ def idle_gating_coefficients(
     chip: NPUChipSpec,
     software: bool,
     min_window_cycles: float = 0.0,
-    window_s: float | None = None,
 ) -> IdleGatingCoefficients:
     """Compute the per-gap idle-gating coefficients of one component.
 
-    ``window_s`` overrides the detection window derived from
-    ``parameters`` — the policies pass their (possibly subclassed)
-    ``_detection_window_s`` result through here so a custom window
-    implementation affects both accounting paths.
+    Hardware gating waits a detection window of a fraction of the BET,
+    floored at ``min_window_cycles``; software gating has no window.
     """
     timing = parameters.timing(component, variant)
     delay_s = chip.cycles_to_seconds(timing.delay_cycles)
@@ -246,10 +246,9 @@ def idle_gating_coefficients(
         window_s = 0.0
         threshold_s = max(bet_s, 2.0 * delay_s)
     else:
-        if window_s is None:
-            window = parameters.detection_window_cycles(component, variant)
-            window = max(window, min_window_cycles)
-            window_s = chip.cycles_to_seconds(window)
+        window = parameters.detection_window_cycles(component, variant)
+        window = max(window, min_window_cycles)
+        window_s = chip.cycles_to_seconds(window)
         threshold_s = window_s + bet_s
     return IdleGatingCoefficients(
         window_s=window_s,
@@ -267,9 +266,9 @@ class IdleCoefficientColumns:
 
     One entry per gating-parameter point, shaped ``(n_points, 1)`` so the
     grid kernel can broadcast them against a packed per-operator axis.
-    The columns are built from per-point scalar coefficient instances
-    (the exact objects the per-point oracle consumes), so the grid path
-    uses bit-identical scalars by construction.
+    :func:`grid_idle_coefficient_columns` derives them elementwise-
+    identically to the scalar :func:`idle_gating_coefficients`, and
+    :meth:`from_coefficients` stacks scalar instances.
     """
 
     window_s: np.ndarray
@@ -319,9 +318,7 @@ def grid_idle_coefficient_columns(
     of one scalar derivation per point.  Every operation mirrors the
     scalar function elementwise — same divisions, same ``max`` order —
     so the columns are bit-identical to stacking the per-point scalar
-    results.  Only valid for policies whose coefficient hooks are the
-    stock ones; subclasses with custom windows or coefficients must go
-    through the per-point path.
+    results.
     """
     key = variant or GatingParameters._COMPONENT_KEYS[component]
     delay_cycles = table.delay_cycles[key]
@@ -349,6 +346,11 @@ def grid_idle_coefficient_columns(
         delay_cycles=delay_cycles[:, None],
         software=software,
     )
+
+
+#: One-point tables by parameters token (see :meth:`ParameterTable.point`).
+_POINT_TABLES: dict[int, "ParameterTable"] = {}
+_POINT_TABLE_LIMIT = 256
 
 
 class ParameterTable:
@@ -451,6 +453,24 @@ class ParameterTable:
         if isinstance(grid, ParameterTable):
             return grid
         return cls(grid)
+
+    @classmethod
+    def point(cls, parameters: GatingParameters) -> "ParameterTable":
+        """The shared one-point table of one parameters instance.
+
+        Policy evaluation prices one point at a time through the grid
+        kernel; sharing the table keeps the coefficient columns memoized
+        on it across calls.  Tokens are never reused, so a stale entry
+        can only waste memory, and the cache is dropped whole past
+        :data:`_POINT_TABLE_LIMIT` entries.
+        """
+        token = parameters_token(parameters)
+        table = _POINT_TABLES.get(token)
+        if table is None:
+            if len(_POINT_TABLES) >= _POINT_TABLE_LIMIT:
+                _POINT_TABLES.clear()
+            table = _POINT_TABLES[token] = cls((parameters,))
+        return table
 
     def __len__(self) -> int:
         return self.n_points

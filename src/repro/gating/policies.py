@@ -17,13 +17,28 @@ energy of power-state transitions, and the exposed wake-up delays:
   powers unused SRAM capacity fully off.
 * **Ideal** — a roofline with zero leakage when gated, zero transition
   cost and perfect idleness knowledge.
+
+The five designs differ only in which gating scheme each component
+gets, so a policy is a frozen, hashable data row
+(:class:`PowerGatingPolicy`): ``gating_enabled``, ``spatial_sa_gating``,
+``software_managed`` and ``ideal`` select the scheme, and
+``parameters`` the gating parameters it is priced at.
+:func:`get_policy` looks the five rows up by name.
+
+Every accounting hook exists twice: an object-path loop over the
+profile's operators and gaps, and a ``*_grid`` form over packed
+profile arrays with a gating-parameter axis.  The object path behind
+:meth:`PowerGatingPolicy.evaluate` is the oracle.  The grid form is the
+one kernel, :meth:`PowerGatingPolicy.grid_evaluate`: ``evaluate`` is a
+1×1 call into it and ``batch_evaluate`` an n×1 call, and both reproduce
+the oracle bit for bit.  The oracle runs when the columnar fast path is
+off or a profile has no columnar table.
 """
 
 from __future__ import annotations
 
-import copy
-import math
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,7 +50,6 @@ from repro.gating.bet import (
     ParameterTable,
     grid_idle_coefficient_columns,
     idle_gating_coefficients,
-    parameters_token,
 )
 from repro.gating.report import EnergyReport, PolicyName
 from repro.gating.sa_gating import SpatialGatingModel
@@ -43,12 +57,17 @@ from repro.gating.sram_gating import SramGatingModel
 from repro.hardware.components import Component
 from repro.hardware.power import ChipPowerModel
 from repro.simulator import columnar
-from repro.simulator.columnar import ProfileTable, seq_sum
-from repro.simulator.engine import GapProfile, OperatorProfile, WorkloadProfile
+from repro.simulator.columnar import ProfileTable
+from repro.simulator.engine import GapProfile, WorkloadProfile
 
 # The hardware VU idle detector waits at least 8 cycles to avoid blocking
 # the SA pipeline (§4.1 of the paper).
 MIN_VU_DETECTION_WINDOW_CYCLES = 8.0
+
+
+def _min_window_cycles(component: Component) -> float:
+    """Floor of a component's hardware idle-detection window."""
+    return MIN_VU_DETECTION_WINDOW_CYCLES if component is Component.VU else 0.0
 
 
 @dataclass
@@ -60,193 +79,95 @@ class _IdleAccounting:
     exposed_wake_cycles: float = 0.0
 
 
-def _idle_gap_values(
-    coeff: "IdleGatingCoefficients | IdleCoefficientColumns",
-    static_power_w: float,
-    gap_s: np.ndarray,
-    num_gaps: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-gap ``(energy_j, gated-mask)`` arrays of the idle accounting.
+def _along_points(values: np.ndarray, n_points: int) -> np.ndarray:
+    """A per-profile array repeated along the parameter axis (read-only)."""
+    rows = values[None, :].repeat(n_points, axis=0)
+    rows.setflags(write=False)
+    return rows
 
-    The single definition of the gated-gap energy expressions, shared by
-    the per-profile columnar path, the packed multi-profile path and the
-    grid path so they can never drift apart; only the reduction differs
-    between them.  ``coeff`` is either one scalar
-    :class:`IdleGatingCoefficients` or, on the grid path, an
-    :class:`~repro.gating.bet.IdleCoefficientColumns` whose
-    ``(n_points, 1)`` columns broadcast against the per-operator axis —
-    elementwise, every point sees exactly the scalar expressions.
+
+def _memoized(store, key, compute, *args, readonly: bool = False):
+    """``store.memo[key]``, computed by ``compute(*args)`` on first use.
+
+    ``readonly`` marks the computed arrays read-only, for report arrays
+    that every report priced from the memo exposes directly.
     """
-    valid = (gap_s > 0.0) & (num_gaps > 0.0)
-    below = gap_s <= coeff.threshold_s
-    ungated_j = static_power_w * (gap_s * num_gaps)
-    gated_s = gap_s - coeff.window_s
-    per_gap = (
-        static_power_w * coeff.window_s
-        + static_power_w * coeff.off_leakage * gated_s
-        + coeff.transition_j
-    )
-    energy_values = np.where(
-        valid, np.where(below, ungated_j, per_gap * num_gaps), 0.0
-    )
-    return energy_values, valid & ~below
+    value = store.memo.get(key)
+    if value is None:
+        value = store.memo[key] = compute(*args)
+        if readonly:
+            for array in value if isinstance(value, tuple) else (value,):
+                array.setflags(write=False)
+    return value
 
 
 def _safe_latency(store) -> np.ndarray:
-    """Memoized division-safe latency array of a table/pack ``store``."""
-    safe = store.memo.get("safe_latency")
-    if safe is None:
-        safe = np.where(store.latency_s > 0.0, store.latency_s, 1.0)
-        store.memo["safe_latency"] = safe
-    return safe
+    """Memoized division-safe latency array of a pack."""
+    return _memoized(
+        store,
+        "safe_latency",
+        lambda: np.where(store.latency_s > 0.0, store.latency_s, 1.0),
+    )
 
 
 def _peak_dynamic_w(store) -> np.ndarray:
     """Memoized per-operator dynamic power array (peak-power accounting)."""
-    dynamic_w = store.memo.get("peak_dynamic_w")
-    if dynamic_w is None:
-        dynamic = store.dynamic
-        # Mirrors sum(op.dynamic_energy_j.values()) over the
-        # insertion order SA, VU, SRAM, HBM, ICI, OTHER.
-        dynamic_j = (
-            dynamic[Component.SA]
-            + dynamic[Component.VU]
-            + dynamic[Component.SRAM]
-            + dynamic[Component.HBM]
-            + dynamic[Component.ICI]
-            + dynamic[Component.OTHER]
-        )
-        dynamic_w = dynamic_j / _safe_latency(store)
-        store.memo["peak_dynamic_w"] = dynamic_w
-    return dynamic_w
+
+    def compute() -> np.ndarray:
+        # Mirrors sum(op.dynamic_energy_j.values()) over the insertion
+        # order SA, VU, SRAM, HBM, ICI, OTHER (that is, Component.all()).
+        dynamic_j = store.dynamic[Component.SA]
+        for component in Component.all()[1:]:
+            dynamic_j = dynamic_j + store.dynamic[component]
+        return dynamic_j / _safe_latency(store)
+
+    return _memoized(store, "peak_dynamic_w", compute)
 
 
 def _peak_active_fraction(store, component: Component) -> np.ndarray:
     """Memoized per-operator active-time fraction of one component."""
-    key = ("active_fraction", component)
-    fraction = store.memo.get(key)
-    if fraction is None:
-        fraction = np.minimum(1.0, store.active[component] / _safe_latency(store))
-        store.memo[key] = fraction
-    return fraction
+    return _memoized(
+        store,
+        ("active_fraction", component),
+        lambda: np.minimum(1.0, store.active[component] / _safe_latency(store)),
+    )
 
 
-# Object-path accounting hooks and their columnar counterparts.  A
-# subclass overriding one side of a pair without the other would make
-# the two paths disagree, so `evaluate` only takes the fast path when,
-# for every pair, both names are (re)defined by the same class.
-_HOOK_PAIRS = (
-    ("_idle_energy", "_idle_energy_columnar"),
-    ("_sa_active_energy", "_sa_active_energy_columnar"),
-    ("_sram_energy", "_sram_energy_columnar"),
-    ("_peak_power", "_peak_power_columnar"),
+#: The components with idle-period accounting.
+_IDLE_COMPONENTS = (Component.SA, Component.VU, Component.HBM, Component.ICI)
+
+#: Per-operator arrays (and per-component maps of them) a pack joins
+#: from its tables.
+_PACKED_ARRAYS = (
+    "active",
+    "dynamic",
+    "count",
+    "latency_s",
+    "sa_mapped",
+    "sram_demand_bytes",
+    "num_weight_tiles",
+    "num_output_tiles",
+    "num_dma_bursts",
+    "dims_m",
+    "dims_k",
+    "dims_n",
+    "has_dims",
 )
-_DISPATCH_SAFE: dict[type, bool] = {}
-
-# The packed (multi-profile batch) accounting additionally mirrors each
-# hook as a ``*_packed`` variant; `batch_evaluate` only takes the packed
-# path when every member of each hook family is defined by the same
-# class AND `evaluate` itself is not customized (a subclass overriding
-# `evaluate` expects one call per profile).
-_HOOK_FAMILIES = (
-    ("_idle_energy", "_idle_energy_columnar", "_idle_energy_packed"),
-    ("_sa_active_energy", "_sa_active_energy_columnar", "_sa_active_energy_packed"),
-    ("_sram_energy", "_sram_energy_columnar", "_sram_energy_packed"),
-    ("_peak_power", "_peak_power_columnar", "_peak_power_packed"),
-)
-_PACKED_DISPATCH_SAFE: dict[type, bool] = {}
-
-# The grid (profiles × gating-parameter points) accounting mirrors each
-# family once more as a ``*_grid`` variant; `grid_evaluate` additionally
-# requires a stock ``__init__`` because the kernel derives per-point
-# coefficients through fresh ``type(self)(parameters)`` instances (the
-# same construction the per-point oracle uses).
-_GRID_HOOK_FAMILIES = tuple(
-    family + (family[0] + "_grid",) for family in _HOOK_FAMILIES
-)
-_GRID_DISPATCH_SAFE: dict[type, bool] = {}
-
-
-def _first_definer(cls: type, name: str) -> type | None:
-    for klass in cls.__mro__:
-        if name in vars(klass):
-            return klass
-    return None
-
-
-def _columnar_dispatch_safe(cls: type) -> bool:
-    cached = _DISPATCH_SAFE.get(cls)
-    if cached is None:
-        cached = all(
-            _first_definer(cls, legacy) is _first_definer(cls, fast)
-            for legacy, fast in _HOOK_PAIRS
-        )
-        _DISPATCH_SAFE[cls] = cached
-    return cached
-
-
-def _packed_dispatch_safe(cls: type) -> bool:
-    cached = _PACKED_DISPATCH_SAFE.get(cls)
-    if cached is None:
-        cached = _first_definer(cls, "evaluate") is PowerGatingPolicy and all(
-            len({_first_definer(cls, name) for name in family}) == 1
-            for family in _HOOK_FAMILIES
-        )
-        _PACKED_DISPATCH_SAFE[cls] = cached
-    return cached
-
-
-def _grid_dispatch_safe(cls: type) -> bool:
-    cached = _GRID_DISPATCH_SAFE.get(cls)
-    if cached is None:
-        cached = (
-            _first_definer(cls, "evaluate") is PowerGatingPolicy
-            and _first_definer(cls, "__init__") is PowerGatingPolicy
-            and all(
-                len({_first_definer(cls, name) for name in family}) == 1
-                for family in _GRID_HOOK_FAMILIES
-            )
-        )
-        _GRID_DISPATCH_SAFE[cls] = cached
-    return cached
-
-
-# The idle-coefficient hooks the vectorized column builder replaces.
-# A subclass redefining any of them gets the per-point derivation so
-# its custom windows/coefficients keep affecting every accounting path.
-_COEFFICIENT_HOOKS = (
-    "_idle_coefficients",
-    "_detection_window_s",
-    "_uses_software_gating",
-    "_timing_variant",
-)
-_COEFFICIENT_COLUMNS_SAFE: dict[type, bool] = {}
-
-
-def _coefficient_columns_safe(cls: type) -> bool:
-    cached = _COEFFICIENT_COLUMNS_SAFE.get(cls)
-    if cached is None:
-        cached = all(
-            _first_definer(cls, name) is PowerGatingPolicy
-            for name in _COEFFICIENT_HOOKS
-        )
-        _COEFFICIENT_COLUMNS_SAFE[cls] = cached
-    return cached
 
 
 class PackedProfiles:
     """A ragged batch of profile tables packed into offset-indexed arrays.
 
-    The serving-style batch API: ``n`` profiles of one chip are
+    The input of the grid kernel: ``n`` profiles of one chip are
     concatenated into single per-operator arrays so a policy can
     evaluate all of them with single NumPy calls
-    (:meth:`PowerGatingPolicy.batch_evaluate`).  Derived arrays that do
+    (:meth:`PowerGatingPolicy.grid_evaluate`).  Derived arrays that do
     not depend on the policy (gap tables, active fractions, leakage
     factor arrays) are memoized on the pack and shared by every policy
     evaluated on it — pack once, evaluate many.
 
     Per-profile reductions slice the packed arrays at the segment
-    offsets and reduce each segment with :func:`seq_sum`, keeping the
+    offsets and accumulate each segment with ``cumsum``, keeping the
     strictly sequential accumulation the bit-exactness contract
     requires (``np.add.reduceat`` rounds differently).
     """
@@ -259,31 +180,24 @@ class PackedProfiles:
         self.tables = tables
         self.chip = profiles[0].chip
         lengths = [table.n_ops for table in tables]
-        bounds = np.zeros(len(tables) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=bounds[1:])
-        self.starts = bounds[:-1]
-        self.ends = bounds[1:]
+        ends = list(itertools.accumulate(lengths))
+        #: ``(start, end)`` operator range of every profile.
+        self.segments = list(zip([0] + ends[:-1], ends))
         self.n_profiles = len(tables)
         self.n_ops = np.asarray(lengths, dtype=np.float64)
-        self.count = np.concatenate([t.count for t in tables])
-        self.latency_s = np.concatenate([t.latency_s for t in tables])
-        self.sa_mapped = np.concatenate([t.sa_mapped for t in tables])
-        self.active = {
-            c: np.concatenate([t.active[c] for t in tables]) for c in Component.all()
-        }
-        self.dynamic = {
-            c: np.concatenate([t.dynamic[c] for t in tables]) for c in Component.all()
-        }
-        self.sram_demand_bytes = np.concatenate(
-            [t.sram_demand_bytes for t in tables]
-        )
-        self.num_weight_tiles = np.concatenate([t.num_weight_tiles for t in tables])
-        self.num_output_tiles = np.concatenate([t.num_output_tiles for t in tables])
-        self.num_dma_bursts = np.concatenate([t.num_dma_bursts for t in tables])
-        self.dims_m = np.concatenate([t.dims_m for t in tables])
-        self.dims_k = np.concatenate([t.dims_k for t in tables])
-        self.dims_n = np.concatenate([t.dims_n for t in tables])
-        self.has_dims = np.concatenate([t.has_dims for t in tables])
+        for name in _PACKED_ARRAYS:
+            arrays = [getattr(table, name) for table in tables]
+            if len(arrays) == 1:
+                # A one-profile pack shares its table's (never mutated) arrays.
+                joined = arrays[0]
+            elif isinstance(arrays[0], dict):
+                joined = {
+                    c: np.concatenate([by_c[c] for by_c in arrays])
+                    for c in Component.all()
+                }
+            else:
+                joined = np.concatenate(arrays)
+            setattr(self, name, joined)
         #: Cross-policy scratchpad (packed analogue of ``ProfileTable.memo``).
         self.memo: dict = {}
 
@@ -293,48 +207,39 @@ class PackedProfiles:
 
         Returns ``None`` when the columnar fast path is disabled or any
         profile cannot produce a table (duck-typed stand-ins) — callers
-        fall back to per-profile evaluation.
+        fall back to the object path.  A one-profile pack is memoized on
+        the profile's table, so every policy evaluated on one profile
+        shares the pack and everything memoized on it.
         """
         if not columnar.fast_path_enabled():
             return None
         tables = [profile._fast_table() for profile in profiles]
-        if any(table is None for table in tables):
+        if None in tables:
             return None
-        return cls(list(profiles), tables)
+        if len(tables) != 1:
+            return cls(list(profiles), tables)
+        packed = tables[0].memo.get("pack")
+        if packed is None or packed.profiles[0] is not profiles[0]:
+            packed = tables[0].memo["pack"] = cls(list(profiles), tables)
+        return packed
 
     # ------------------------------------------------------------------ #
-    def seg_sums(self, values: np.ndarray) -> np.ndarray:
-        """Per-profile strictly-sequential sums of a packed array."""
-        out = np.empty(self.n_profiles, dtype=np.float64)
-        starts = self.starts.tolist()
-        ends = self.ends.tolist()
-        for index in range(self.n_profiles):
-            out[index] = seq_sum(values[starts[index]:ends[index]])
-        return out
-
-    def seg_sums_multi(self, rows: tuple[np.ndarray, ...]) -> np.ndarray:
-        """Per-profile sequential sums of several packed arrays at once.
-
-        Stacks the rows into one matrix and accumulates each segment
-        with a single ``cumsum(axis=1)`` — row-wise sequential, so every
-        row reduces bit-identically to :func:`seq_sum`, with one NumPy
-        call per profile instead of one per (row, profile).
-        """
-        return self.seg_sums_matrix(np.vstack(rows))
-
     def seg_sums_matrix(self, stacked: np.ndarray) -> np.ndarray:
         """Per-profile sequential sums of every row of a ``(R, n_ops)`` matrix.
 
-        The workhorse behind :meth:`seg_sums_multi`; the grid kernel
-        feeds it ``(n_points * quantities, n_ops)`` matrices so a whole
-        policy × gating-parameter grid reduces with one NumPy call per
-        profile (the parameter axis rides along as extra rows).
+        Each segment is accumulated with one ``cumsum(axis=1)`` —
+        row-wise sequential, so every row reduces bit-identically to
+        :func:`~repro.simulator.columnar.seq_sum`.  The grid kernel's
+        parameter axis rides along as extra rows, so a whole grid
+        reduces with one NumPy call per profile.  A 1-D array reduces to
+        a 1-D per-profile array.
         """
+        if stacked.ndim == 1:
+            return self.seg_sums_matrix(stacked[None, :])[0]
+        if self.n_profiles == 1 and stacked.shape[1]:
+            return stacked.cumsum(axis=1)[:, -1:]
         out = np.empty((stacked.shape[0], self.n_profiles), dtype=np.float64)
-        starts = self.starts.tolist()
-        ends = self.ends.tolist()
-        for index in range(self.n_profiles):
-            start, end = starts[index], ends[index]
+        for index, (start, end) in enumerate(self.segments):
             if end > start:
                 out[:, index] = stacked[:, start:end].cumsum(axis=1)[:, -1]
             else:
@@ -342,103 +247,82 @@ class PackedProfiles:
         return out
 
     def seg_max_matrix(self, values: np.ndarray) -> np.ndarray:
-        """Per-profile row-wise max of a ``(R, n_ops)`` matrix (0 floor)."""
+        """Per-profile row-wise max of a ``(R, n_ops)`` matrix (0 floor).
+
+        A 1-D array reduces to a 1-D per-profile array.
+        """
+        if values.ndim == 1:
+            return self.seg_max_matrix(values[None, :])[0]
         out = np.empty((values.shape[0], self.n_profiles), dtype=np.float64)
-        starts = self.starts.tolist()
-        ends = self.ends.tolist()
-        for index in range(self.n_profiles):
-            out[:, index] = np.max(
-                values[:, starts[index]:ends[index]], axis=1, initial=0.0
-            )
+        for index, (start, end) in enumerate(self.segments):
+            out[:, index] = values[:, start:end].max(axis=1, initial=0.0)
         return out
 
-    def base_totals(self) -> None:
-        """Fill the policy-independent reduction memos in one fused pass.
+    def totals(self) -> tuple[dict, np.ndarray]:
+        """``(row index, matrix)`` of the policy-independent per-profile sums.
 
-        Busy time, per-component active seconds and dynamic energies of
-        every profile reduce together (11 rows, one pass); all five
-        policies evaluated on the pack read the same memo entries.
+        Busy time, every component's dynamic energy, and the active
+        seconds, idle seconds and gap count of each idle-accounted
+        component reduce together in one fused pass; a last row holds
+        the operator counts.  Every policy priced on the pack reads the
+        same rows.
         """
-        if "total_time_s" in self.memo:
-            return
-        components = Component.all()
-        active_components = (Component.SA, Component.VU, Component.HBM, Component.ICI)
-        rows = (
-            (self.weighted_latency(),)
-            + tuple(self.weighted_active(c) for c in active_components)
-            + tuple(self.dynamic[c] * self.count for c in components)
-        )
-        totals = self.seg_sums_multi(rows)
-        self.memo["total_time_s"] = totals[0]
-        for offset, component in enumerate(active_components):
-            self.memo[("active_total", component)] = totals[1 + offset]
-        for offset, component in enumerate(components):
-            self.memo[("dynamic_total", component)] = totals[5 + offset]
+        cached = self.memo.get("totals")
+        if cached is not None:
+            return cached
+        rows = {"total_time_s": self.weighted_latency()}
+        for c in Component.all():
+            rows[("dynamic", c)] = self.dynamic[c] * self.count
+        for c in _IDLE_COMPONENTS:
+            gap_s, num_gaps = self.gap_table(c)
+            rows[("active", c)] = self.weighted_active(c)
+            rows[("idle_s", c)] = gap_s * num_gaps
+            rows[("gaps", c)] = num_gaps
+        sums = self.seg_sums_matrix(np.array(list(rows.values())))
+        matrix = np.concatenate((sums, self.n_ops[None, :]))
+        matrix.setflags(write=False)
+        index = {key: row for row, key in enumerate(rows)}
+        index["n_ops"] = len(rows)
         # Share the reductions with the per-table aggregate caches: the
         # sweep's row assembly reads the same totals per profile, and
         # the fused pass produced bit-identical doubles.
-        for index, table in enumerate(self.tables):
-            if table._total_time_s is None:
-                table._total_time_s = float(totals[0][index])
-            for offset, component in enumerate(active_components):
-                table._active_totals.setdefault(
-                    component, float(totals[1 + offset][index])
-                )
-            for offset, component in enumerate(components):
-                table._dynamic_totals.setdefault(
-                    component, float(totals[5 + offset][index])
-                )
+        for column, table in enumerate(self.tables):
+            table._total_time_s = matrix.item(index["total_time_s"], column)
+            for c in Component.all():
+                table._dynamic_totals[c] = matrix.item(index["dynamic", c], column)
+            for c in _IDLE_COMPONENTS:
+                table._active_totals[c] = matrix.item(index["active", c], column)
+        cached = self.memo["totals"] = (index, matrix)
+        return cached
 
-    def seg_max(self, values: np.ndarray) -> np.ndarray:
-        """Per-profile max (order-insensitive) with an implicit 0 floor."""
-        out = np.empty(self.n_profiles, dtype=np.float64)
-        starts = self.starts.tolist()
-        ends = self.ends.tolist()
-        for index in range(self.n_profiles):
-            out[index] = np.max(
-                values[starts[index]:ends[index]], initial=0.0
-            )
-        return out
+    def total(self, key, n_points: int | None = None) -> np.ndarray:
+        """One row of :meth:`totals`, repeated along ``n_points`` if given."""
+        index, matrix = self.totals()
+        if n_points is None:
+            return matrix[index[key]]
+        return self.totals_along(n_points)[index[key]]
+
+    def totals_along(self, n_points: int) -> np.ndarray:
+        """The :meth:`totals` matrix repeated along the parameter axis:
+        ``(rows, n_points, n_profiles)``."""
+        matrix = self.totals()[1]
+        return _memoized(
+            self,
+            ("totals_along", n_points),
+            lambda: matrix[:, None, :].repeat(n_points, axis=1),
+            readonly=True,
+        )
 
     # -- packed analogues of the per-table derived arrays ---------------- #
     def weighted_latency(self) -> np.ndarray:
-        cached = self.memo.get("weighted_latency")
-        if cached is None:
-            cached = self.latency_s * self.count
-            self.memo["weighted_latency"] = cached
-        return cached
+        return _memoized(self, "weighted_latency", lambda: self.latency_s * self.count)
 
     def weighted_active(self, component: Component) -> np.ndarray:
-        key = ("weighted_active", component)
-        cached = self.memo.get(key)
-        if cached is None:
-            cached = self.active[component] * self.count
-            self.memo[key] = cached
-        return cached
-
-    def total_time_s(self) -> np.ndarray:
-        """Per-profile busy time (packed ``ProfileTable.total_time_s``)."""
-        cached = self.memo.get("total_time_s")
-        if cached is None:
-            cached = self.seg_sums(self.weighted_latency())
-            self.memo["total_time_s"] = cached
-        return cached
-
-    def active_total_s(self, component: Component) -> np.ndarray:
-        key = ("active_total", component)
-        cached = self.memo.get(key)
-        if cached is None:
-            cached = self.seg_sums(self.weighted_active(component))
-            self.memo[key] = cached
-        return cached
-
-    def dynamic_total_j(self, component: Component) -> np.ndarray:
-        key = ("dynamic_total", component)
-        cached = self.memo.get(key)
-        if cached is None:
-            cached = self.seg_sums(self.dynamic[component] * self.count)
-            self.memo[key] = cached
-        return cached
+        return _memoized(
+            self,
+            ("weighted_active", component),
+            lambda: self.active[component] * self.count,
+        )
 
     def gap_table(self, component: Component) -> tuple[np.ndarray, np.ndarray]:
         """Packed ``(gap_s, num_gaps_total)`` of one component.
@@ -449,27 +333,24 @@ class PackedProfiles:
         :func:`repro.simulator.columnar.gap_arrays`), and computed once
         per pack for all policies.
         """
-        key = ("gap_table", component)
-        cached = self.memo.get(key)
-        if cached is not None:
-            return cached
-        family = columnar.gap_arrays(
-            component,
-            latency=self.latency_s,
-            active=self.active[component],
-            sa_mapped=self.sa_mapped,
-            num_weight_tiles=self.num_weight_tiles,
-            num_output_tiles=self.num_output_tiles,
-            num_dma_bursts=self.num_dma_bursts,
-        )
-        if family is None:
-            zeros = np.zeros_like(self.latency_s)
-            table = (zeros, zeros)
-        else:
+
+        def compute() -> tuple[np.ndarray, np.ndarray]:
+            family = columnar.gap_arrays(
+                component,
+                latency=self.latency_s,
+                active=self.active[component],
+                sa_mapped=self.sa_mapped,
+                num_weight_tiles=self.num_weight_tiles,
+                num_output_tiles=self.num_output_tiles,
+                num_dma_bursts=self.num_dma_bursts,
+            )
+            if family is None:
+                zeros = np.zeros_like(self.latency_s)
+                return zeros, zeros
             gap_s, num_per_invocation = family
-            table = (gap_s, num_per_invocation * self.count)
-        self.memo[key] = table
-        return table
+            return gap_s, num_per_invocation * self.count
+
+        return _memoized(self, ("gap_table", component), compute)
 
 
 class ChipMajorPacks:
@@ -545,26 +426,14 @@ class ChipMajorPacks:
         return cls(profiles, packs, index_map)
 
 
+#: Gating-event insertion order of one report (mirrors ``evaluate``):
+#: the idle-accounted components, then the SRAM.
+GATING_EVENT_ORDER = _IDLE_COMPONENTS + (Component.SRAM,)
 #: Static-energy insertion order of one report (mirrors ``evaluate``).
 #: Shared single definition: the runner's vectorized
 #: ``sum(static_energy_j.values())`` replication imports this order —
 #: reordering it here reorders the bit-exact accumulation everywhere.
-STATIC_ENERGY_ORDER = (
-    Component.OTHER,
-    Component.SA,
-    Component.VU,
-    Component.HBM,
-    Component.ICI,
-    Component.SRAM,
-)
-#: Gating-event insertion order of one report (mirrors ``evaluate``).
-GATING_EVENT_ORDER = (
-    Component.SA,
-    Component.VU,
-    Component.HBM,
-    Component.ICI,
-    Component.SRAM,
-)
+STATIC_ENERGY_ORDER = (Component.OTHER,) + GATING_EVENT_ORDER
 
 
 class GridEnergyReports:
@@ -577,7 +446,9 @@ class GridEnergyReports:
     :meth:`report` lazily materializes a single
     :class:`~repro.gating.report.EnergyReport` — bit-identical to what
     per-point :meth:`~PowerGatingPolicy.batch_evaluate` returns — for
-    consumers of the object API (e.g. the report cache).
+    consumers of the object API (e.g. the report cache).  Arrays may be
+    shared with other reports priced on the same pack; treat them as
+    read-only.
     """
 
     def __init__(
@@ -607,25 +478,19 @@ class GridEnergyReports:
         """Materialize the report of one (parameter point, profile) cell."""
         if self._reports is not None:
             return self._reports[point][profile]
-        report = EnergyReport(
+
+        def cells(source: dict, order) -> dict:
+            return {c: source[c].item(point, profile) for c in order}
+
+        return EnergyReport(
             policy=self.policy,
-            baseline_time_s=float(self.baseline_time_s[point, profile]),
-            overhead_time_s=float(self.overhead_time_s[point, profile]),
+            baseline_time_s=self.baseline_time_s.item(point, profile),
+            overhead_time_s=self.overhead_time_s.item(point, profile),
+            static_energy_j=cells(self.static_energy_j, STATIC_ENERGY_ORDER),
+            dynamic_energy_j=cells(self.dynamic_energy_j, Component.all()),
+            gating_events=cells(self.gating_events, GATING_EVENT_ORDER),
+            peak_power_w=self.peak_power_w.item(point, profile),
         )
-        for component in Component.all():
-            report.dynamic_energy_j[component] = float(
-                self.dynamic_energy_j[component][point, profile]
-            )
-        for component in STATIC_ENERGY_ORDER:
-            report.static_energy_j[component] = float(
-                self.static_energy_j[component][point, profile]
-            )
-        for component in GATING_EVENT_ORDER:
-            report.gating_events[component] = float(
-                self.gating_events[component][point, profile]
-            )
-        report.peak_power_w = float(self.peak_power_w[point, profile])
-        return report
 
     def reports(self, point: int) -> list[EnergyReport]:
         """All profile reports of one parameter point (oracle order)."""
@@ -633,78 +498,63 @@ class GridEnergyReports:
             return list(self._reports[point])
         return [self.report(point, profile) for profile in range(self.n_profiles)]
 
-    #: Array attributes gathered lazily on the oracle-backed fallback.
-    _ARRAY_FIELDS = frozenset(
-        {
-            "baseline_time_s",
-            "overhead_time_s",
-            "static_energy_j",
-            "dynamic_energy_j",
-            "gating_events",
-            "peak_power_w",
-        }
-    )
-
     @classmethod
     def from_reports(
         cls, policy: PolicyName, reports_per_point: list[list[EnergyReport]]
     ) -> "GridEnergyReports":
         """Wrap oracle-built per-point report lists in the grid API.
 
-        :meth:`report` hands back the original objects; the column
-        arrays are gathered from their scalars — lazily, on first
-        attribute access, since the fallback path's consumers usually
-        only want the reports — so array-native consumers see the same
-        values either way.
+        :meth:`report` hands back the original objects, and the column
+        arrays are gathered from their scalars, so array-native
+        consumers see the same values either way.
         """
-        grid = cls.__new__(cls)
-        grid.policy = policy
-        grid._reports = [list(row) for row in reports_per_point]
-        grid.n_points = len(grid._reports)
-        grid.n_profiles = len(grid._reports[0]) if grid._reports else 0
+        rows = [list(row) for row in reports_per_point]
+
+        def gather(read) -> np.ndarray:
+            values = [[read(report) for report in row] for row in rows]
+            return np.asarray(values, dtype=np.float64).reshape(len(rows), -1)
+
+        def gather_map(name: str) -> dict[Component, np.ndarray]:
+            return {
+                c: gather(lambda report, c=c: getattr(report, name).get(c, 0.0))
+                for c in Component.all()
+            }
+
+        grid = cls(
+            policy,
+            baseline_time_s=gather(lambda report: report.baseline_time_s),
+            overhead_time_s=gather(lambda report: report.overhead_time_s),
+            static_energy_j=gather_map("static_energy_j"),
+            dynamic_energy_j=gather_map("dynamic_energy_j"),
+            gating_events=gather_map("gating_events"),
+            peak_power_w=gather(lambda report: report.peak_power_w),
+        )
+        grid._reports = rows
         return grid
 
-    def __getattr__(self, name: str):
-        # Only fires for attributes never set: the lazily-gathered array
-        # fields of a from_reports-built instance.
-        if name in GridEnergyReports._ARRAY_FIELDS:
-            reports = self.__dict__.get("_reports")
-            if reports is not None:
-                value = self._gather_field(name)
-                self.__dict__[name] = value
-                return value
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
 
-    def _gather_field(self, name: str):
-        def gather(read) -> np.ndarray:
-            return np.asarray(
-                [[read(report) for report in row] for row in self._reports],
-                dtype=np.float64,
-            )
-
-        if name in ("baseline_time_s", "overhead_time_s", "peak_power_w"):
-            return gather(lambda report: getattr(report, name))
-        return {
-            c: gather(lambda report, c=c: getattr(report, name).get(c, 0.0))
-            for c in Component.all()
-        }
-
-
+@dataclass(frozen=True)
 class PowerGatingPolicy:
-    """Base class: shared accounting helpers for all policies."""
+    """One gating design as a frozen, hashable data row.
 
-    name: PolicyName = PolicyName.NOPG
+    The flags select the gating scheme of each component and every
+    accounting hook branches on them; ``parameters`` are the gating
+    parameters the row is priced at.  Rows compare and hash by value,
+    and :func:`dataclasses.replace` derives variants (this is how the
+    grid fallback re-prices one row at each parameter point).
+    """
+
+    name: PolicyName
+    #: Whether any power gating happens at all.
+    gating_enabled: bool = False
     #: Whether the SA is gated at PE granularity during active time.
     spatial_sa_gating: bool = False
     #: Whether VU / SRAM power gating is driven by the compiler.
     software_managed: bool = False
-    #: Whether any power gating happens at all.
-    gating_enabled: bool = False
-
-    def __init__(self, parameters: GatingParameters | None = None):
-        self.parameters = parameters or DEFAULT_PARAMETERS
+    #: The roofline: zero leakage when gated, zero transition cost and
+    #: delay, and perfect idleness knowledge.
+    ideal: bool = False
+    parameters: GatingParameters = DEFAULT_PARAMETERS
 
     # ------------------------------------------------------------------ #
     # Idle-period accounting
@@ -714,55 +564,21 @@ class PowerGatingPolicy:
             return "sa_pe" if self.spatial_sa_gating else "sa_full"
         return None
 
-    def _detection_window_s(self, component: Component, chip) -> float:
-        window = self.parameters.detection_window_cycles(
-            component, self._timing_variant(component)
-        )
-        if component is Component.VU:
-            window = max(window, MIN_VU_DETECTION_WINDOW_CYCLES)
-        return chip.cycles_to_seconds(window)
-
     def _uses_software_gating(self, component: Component) -> bool:
         return self.software_managed and component is Component.VU
 
     def _idle_coefficients(
         self, component: Component, static_power_w: float, chip
     ) -> IdleGatingCoefficients:
-        """Per-gap gating coefficients shared by both accounting paths.
-
-        The detection window is resolved through
-        :meth:`_detection_window_s`, so a subclass overriding that hook
-        affects the object path and the columnar path alike.
-        """
-        software = self._uses_software_gating(component)
+        """Per-gap gating coefficients of one component (object path)."""
         return idle_gating_coefficients(
             self.parameters,
             component,
             self._timing_variant(component),
             static_power_w,
             chip,
-            software=software,
-            window_s=None if software else self._detection_window_s(component, chip),
-        )
-
-    def _idle_memo_key(
-        self, component: Component, static_power_w: float, chip, token
-    ) -> tuple:
-        """Memo key covering every input of the base idle accounting.
-
-        The resolved detection window is part of the key so subclasses
-        customizing :meth:`_detection_window_s` never share entries with
-        the stock policies.
-        """
-        software = self._uses_software_gating(component)
-        return (
-            "idle",
-            component,
-            static_power_w,
-            self._timing_variant(component),
-            software,
-            None if software else self._detection_window_s(component, chip),
-            token,
+            software=self._uses_software_gating(component),
+            min_window_cycles=_min_window_cycles(component),
         )
 
     def _idle_energy(
@@ -774,6 +590,9 @@ class PowerGatingPolicy:
     ) -> _IdleAccounting:
         """Static energy of a component's idle time (object path)."""
         accounting = _IdleAccounting()
+        if self.ideal:
+            accounting.gated_gaps = sum(g.num_gaps for g in gaps)
+            return accounting
         if not self.gating_enabled:
             accounting.energy_j = static_power_w * sum(g.total_idle_s for g in gaps)
             return accounting
@@ -797,78 +616,6 @@ class PowerGatingPolicy:
                 accounting.exposed_wake_cycles += coeff.delay_cycles * gap.num_gaps
         return accounting
 
-    def _idle_energy_columnar(
-        self,
-        component: Component,
-        gap_s: np.ndarray,
-        num_gaps: np.ndarray,
-        static_power_w: float,
-        chip,
-        table: ProfileTable | None = None,
-    ) -> _IdleAccounting:
-        """Vectorized :meth:`_idle_energy` over a profile's gap table.
-
-        The arrays are zero-padded per operator; a zero gap contributes
-        an exact ``+0.0`` to every sequential reduction, so the result
-        is bit-identical to the object path's filtered gap list.  The
-        result is memoized on the table keyed by the full coefficient
-        set — policies with identical gating behavior for a component
-        (e.g. ReGate-Base/HW/Full on the HBM controller) share one
-        computation.
-        """
-        accounting = _IdleAccounting()
-        if not self.gating_enabled:
-            accounting.energy_j = static_power_w * self._total_idle_s(
-                component, gap_s, num_gaps, table
-            )
-            return accounting
-
-        memo_key = self._idle_memo_key(
-            component, static_power_w, chip, parameters_token(self.parameters)
-        )
-        if table is not None:
-            cached = table.memo.get(memo_key)
-            if cached is not None:
-                return _IdleAccounting(*cached)
-
-        coeff = self._idle_coefficients(component, static_power_w, chip)
-        energy_values, gated_mask = _idle_gap_values(
-            coeff, static_power_w, gap_s, num_gaps
-        )
-        accounting.energy_j = seq_sum(energy_values)
-        accounting.gated_gaps = seq_sum(np.where(gated_mask, num_gaps, 0.0))
-        if not coeff.software:
-            accounting.exposed_wake_cycles = seq_sum(
-                np.where(gated_mask, coeff.delay_cycles * num_gaps, 0.0)
-            )
-        if table is not None:
-            table.memo[memo_key] = (
-                accounting.energy_j,
-                accounting.gated_gaps,
-                accounting.exposed_wake_cycles,
-            )
-        return accounting
-
-    @staticmethod
-    def _total_idle_s(
-        component: Component,
-        gap_s: np.ndarray,
-        num_gaps: np.ndarray,
-        table: ProfileTable | None,
-    ) -> float:
-        """Memoized ``sum(gap_s * num_gaps)`` of one component."""
-        if table is None:
-            return seq_sum(gap_s * num_gaps)
-        key = ("total_idle", component)
-        total = table.memo.get(key)
-        if total is None:
-            total = seq_sum(gap_s * num_gaps)
-            table.memo[key] = total
-        return total
-
-    def _ideal_idle_energy(self, gaps: list[GapProfile]) -> _IdleAccounting:
-        return _IdleAccounting(energy_j=0.0)
-
     # ------------------------------------------------------------------ #
     # Active-period accounting
     # ------------------------------------------------------------------ #
@@ -876,7 +623,7 @@ class PowerGatingPolicy:
         self, profile: WorkloadProfile, static_power_w: float
     ) -> float:
         """SA leakage while the SA is actively computing."""
-        if not self.spatial_sa_gating:
+        if not (self.ideal or self.spatial_sa_gating):
             return static_power_w * profile.active_s(Component.SA)
         model = SpatialGatingModel(profile.chip.sa_width, self.parameters)
         energy = 0.0
@@ -884,231 +631,33 @@ class PowerGatingPolicy:
             active = op_profile.active_s(Component.SA) * op_profile.count
             if active <= 0:
                 continue
-            factor = model.static_power_factor(op_profile.operator.dims)
+            dims = op_profile.operator.dims
+            if self.ideal:
+                factor = model.shares(dims).active
+            else:
+                factor = model.static_power_factor(dims)
             energy += static_power_w * active * factor
         return energy
 
-    def _sa_active_energy_columnar(
-        self, profile: WorkloadProfile, table: ProfileTable, static_power_w: float
-    ) -> float:
-        """Vectorized :meth:`_sa_active_energy` over the profile table."""
-        if not self.spatial_sa_gating:
-            return static_power_w * table.active_total_s(Component.SA)
-        memo_key = (
-            "sa_active_energy",
-            static_power_w,
-            self.parameters.leakage.logic_off,
-            self.parameters.pe_weight_register_share,
-        )
-        cached = table.memo.get(memo_key)
-        if cached is not None:
-            return cached
-        active = table.weighted_active(Component.SA)
-        factor = self._spatial_factor_array(profile.chip, table)
-        energy = seq_sum(
-            np.where(active > 0.0, static_power_w * active * factor, 0.0)
-        )
-        table.memo[memo_key] = energy
-        return energy
-
-    def _spatial_factor_array(self, chip, table: ProfileTable) -> np.ndarray:
-        """Memoized per-operator spatial static-power factor array."""
-        memo_key = (
-            "spatial_factor",
-            self.parameters.leakage.logic_off,
-            self.parameters.pe_weight_register_share,
-        )
-        factor = table.memo.get(memo_key)
-        if factor is None:
-            model = SpatialGatingModel(chip.sa_width, self.parameters)
-            factor = model.static_power_factor_array(
-                table.dims_m, table.dims_k, table.dims_n, table.has_dims
-            )
-            table.memo[memo_key] = factor
-        return factor
-
     def _sram_energy(self, profile: WorkloadProfile, static_power_w: float) -> float:
         """SRAM leakage: used capacity stays on, unused is slept/gated."""
-        if not self.gating_enabled:
+        if not (self.ideal or self.gating_enabled):
             return static_power_w * profile.total_time_s
         model = SramGatingModel(profile.chip, self.parameters)
+        capacity = profile.chip.sram_bytes
         energy = 0.0
         for op_profile in profile.profiles:
             duration = op_profile.latency_s * op_profile.count
-            factor = model.leakage_factor_for_demand(
-                op_profile.sram_demand_bytes, software_managed=self.software_managed
-            )
+            if self.ideal:
+                factor = min(1.0, op_profile.sram_demand_bytes / capacity)
+            else:
+                factor = model.leakage_factor_for_demand(
+                    op_profile.sram_demand_bytes,
+                    software_managed=self.software_managed,
+                )
             energy += static_power_w * duration * factor
         return energy
 
-    def _sram_energy_columnar(
-        self, profile: WorkloadProfile, table: ProfileTable, static_power_w: float
-    ) -> float:
-        """Vectorized :meth:`_sram_energy` over the profile table."""
-        if not self.gating_enabled:
-            return static_power_w * table.total_time_s()
-        leak = (
-            self.parameters.leakage.sram_off
-            if self.software_managed
-            else self.parameters.sleep_leakage()
-        )
-        memo_key = ("sram_energy", static_power_w, self.software_managed, leak)
-        cached = table.memo.get(memo_key)
-        if cached is not None:
-            return cached
-        duration = table.weighted_latency()
-        factor = self._sram_factor_array(profile.chip, table)
-        energy = seq_sum(static_power_w * duration * factor)
-        table.memo[memo_key] = energy
-        return energy
-
-    def _sram_factor_array(self, chip, table: ProfileTable) -> np.ndarray:
-        """Memoized per-operator SRAM leakage-factor array."""
-        leak = (
-            self.parameters.leakage.sram_off
-            if self.software_managed
-            else self.parameters.sleep_leakage()
-        )
-        memo_key = ("sram_factor", self.software_managed, leak)
-        factor = table.memo.get(memo_key)
-        if factor is None:
-            model = SramGatingModel(chip, self.parameters)
-            factor = model.leakage_factor_for_demand_array(
-                table.sram_demand_bytes, self.software_managed
-            )
-            table.memo[memo_key] = factor
-        return factor
-
-    # ------------------------------------------------------------------ #
-    def evaluate(
-        self, profile: WorkloadProfile, power_model: ChipPowerModel | None = None
-    ) -> EnergyReport:
-        """Compute the full energy report of this policy for one profile.
-
-        The per-gap / per-operator accounting runs on the columnar fast
-        path by default (vectorized over the profile's memoized
-        :class:`~repro.simulator.columnar.ProfileTable`) and on the
-        original object-path loops when the fast path is disabled or a
-        subclass overrides only the object-path hooks; both paths
-        produce bit-identical reports.
-        """
-        power_model = power_model or ChipPowerModel.for_chip(profile.chip)
-        chip = profile.chip
-        table = (
-            profile._fast_table() if _columnar_dispatch_safe(type(self)) else None
-        )
-        fast = table is not None
-
-        token = parameters_token(self.parameters) if fast else None
-        # The hoisted memo lookup below replicates the base columnar
-        # idle accounting's key; it must not short-circuit a subclass
-        # override (e.g. Ideal), which memoizes under its own keys.
-        base_idle = (
-            type(self)._idle_energy_columnar
-            is PowerGatingPolicy._idle_energy_columnar
-        )
-
-        def idle_accounting(component: Component) -> _IdleAccounting:
-            if fast:
-                if base_idle and self.gating_enabled:
-                    memo_key = self._idle_memo_key(
-                        component, static[component], chip, token
-                    )
-                    cached = table.memo.get(memo_key)
-                    if cached is not None:
-                        return _IdleAccounting(*cached)
-                gap_s, _, num_total = table.gap_table(component)
-                return self._idle_energy_columnar(
-                    component, gap_s, num_total, static[component], chip, table
-                )
-            return self._idle_energy(
-                component, profile.gap_profiles(component), static[component], chip
-            )
-
-        total_time_s = table.total_time_s() if fast else profile.total_time_s
-
-        def active_s(component: Component) -> float:
-            if fast:
-                return table.active_total_s(component)
-            return profile.active_s(component)
-
-        report = EnergyReport(
-            policy=self.name,
-            baseline_time_s=total_time_s,
-            overhead_time_s=0.0,
-        )
-        exposed_cycles = 0.0
-
-        for component in Component.all():
-            report.dynamic_energy_j[component] = (
-                table.dynamic_total_j(component)
-                if fast
-                else profile.dynamic_energy_j(component)
-            )
-
-        static = power_model.static_power_by_component()
-
-        # Never-gated logic leaks for the whole execution.
-        report.static_energy_j[Component.OTHER] = (
-            static[Component.OTHER] * total_time_s
-        )
-
-        # Systolic arrays: active-time leakage (possibly spatially gated)
-        # plus idle-time leakage under the temporal gating scheme.
-        sa_idle = idle_accounting(Component.SA)
-        sa_active_j = (
-            self._sa_active_energy_columnar(profile, table, static[Component.SA])
-            if fast
-            else self._sa_active_energy(profile, static[Component.SA])
-        )
-        report.static_energy_j[Component.SA] = sa_active_j + sa_idle.energy_j
-        report.gating_events[Component.SA] = sa_idle.gated_gaps
-        exposed_cycles += sa_idle.exposed_wake_cycles
-
-        # Vector units.
-        vu_idle = idle_accounting(Component.VU)
-        report.static_energy_j[Component.VU] = (
-            static[Component.VU] * active_s(Component.VU) + vu_idle.energy_j
-        )
-        report.gating_events[Component.VU] = vu_idle.gated_gaps
-        exposed_cycles += vu_idle.exposed_wake_cycles
-
-        # HBM and ICI controllers: hardware idle detection in every ReGate
-        # variant; their wake-up delay is amortized by the DMA latency, so
-        # it does not show up as a performance overhead.
-        for component in (Component.HBM, Component.ICI):
-            idle = idle_accounting(component)
-            report.static_energy_j[component] = (
-                static[component] * active_s(component) + idle.energy_j
-            )
-            report.gating_events[component] = idle.gated_gaps
-
-        # SRAM capacity gating.
-        report.static_energy_j[Component.SRAM] = (
-            self._sram_energy_columnar(profile, table, static[Component.SRAM])
-            if fast
-            else self._sram_energy(profile, static[Component.SRAM])
-        )
-        report.gating_events[Component.SRAM] = float(
-            table.n_ops if fast else len(profile.profiles)
-        )
-
-        report.overhead_time_s = chip.cycles_to_seconds(exposed_cycles)
-        # The exposed wake-up delays keep the whole chip powered a little
-        # longer; charge that time at the un-gated static power.
-        if report.overhead_time_s > 0:
-            total_static_power = sum(static.values())
-            extra = total_static_power * report.overhead_time_s
-            report.static_energy_j[Component.OTHER] += extra
-
-        report.peak_power_w = (
-            self._peak_power_columnar(profile, table, power_model)
-            if fast
-            else self._peak_power(profile, power_model)
-        )
-        return report
-
-    # ------------------------------------------------------------------ #
     def _peak_power(
         self, profile: WorkloadProfile, power_model: ChipPowerModel
     ) -> float:
@@ -1141,85 +690,100 @@ class PowerGatingPolicy:
                         active_fraction * factor + (1 - active_fraction) * off_leak
                     )
                 else:
-                    idle_leak = 0.0 if self.name is PolicyName.IDEAL else off_leak
+                    idle_leak = 0.0 if self.ideal else off_leak
                     static_w += base * (
                         active_fraction + (1 - active_fraction) * idle_leak
                     )
             peak = max(peak, dynamic_w + static_w)
         return peak
 
-    def _peak_power_columnar(
-        self, profile: WorkloadProfile, table: ProfileTable, power_model: ChipPowerModel
-    ) -> float:
-        """Vectorized :meth:`_peak_power` over the profile table."""
-        if not bool((table.latency_s > 0.0).any()):
-            return 0.0
-        values = self._peak_power_values(table, profile.chip, power_model)
-        return float(np.max(values, initial=0.0))
+    # ------------------------------------------------------------------ #
+    # Evaluation entry points
+    # ------------------------------------------------------------------ #
+    def evaluate(
+        self, profile: WorkloadProfile, power_model: ChipPowerModel | None = None
+    ) -> EnergyReport:
+        """Compute the full energy report of this policy for one profile.
 
-    def _peak_power_values(
-        self, store, chip, power_model: ChipPowerModel
-    ) -> np.ndarray:
-        """Masked per-operator total power array (zero where latency is 0).
-
-        The single definition of the peak-power accounting, shared by
-        the per-profile columnar path and the packed multi-profile path
-        (``store`` is a :class:`ProfileTable` or :class:`PackedProfiles`
-        — both expose the same array attributes and a ``memo``); only
-        the reduction differs between them.  Intermediates are cached on
-        the store and shared by every policy whose accounting for a
-        component is identical (e.g. ReGate-Base/HW/Full on the HBM
-        controller).
+        A 1×1 call into :meth:`grid_evaluate` on the profile's memoized
+        one-profile pack.  When the columnar fast path is off or the
+        profile has no columnar table, the object-path loops run
+        instead; they are the oracle the kernel reproduces bit for bit.
         """
-        latency = store.latency_s
-        mask = latency > 0.0
-        off_leak = self.parameters.leakage.logic_off
-        dynamic_w = _peak_dynamic_w(store)
+        packed = PackedProfiles.pack([profile])
+        if packed is None:
+            return self._evaluate_oracle(
+                profile, power_model or ChipPowerModel.for_chip(profile.chip)
+            )
+        grid = self.grid_evaluate(
+            packed, ParameterTable.point(self.parameters), power_model
+        )
+        return grid.report(0, 0)
 
-        def active_fraction(component: Component) -> np.ndarray:
-            return _peak_active_fraction(store, component)
-
-        token = parameters_token(self.parameters)
-
-        def contribution(component: Component) -> np.ndarray | float:
-            base = power_model.static_power_w(component)
-            if not self.gating_enabled or component is Component.OTHER:
-                return base
-            if component is Component.SRAM:
-                key = ("peak_sram", base, self.software_managed, token)
-                value = store.memo.get(key)
-                if value is None:
-                    value = base * self._sram_factor_array(chip, store)
-                    store.memo[key] = value
-                return value
-            if component is Component.SA and self.spatial_sa_gating:
-                key = ("peak_sa_spatial", base, token)
-                value = store.memo.get(key)
-                if value is None:
-                    factor = self._spatial_factor_array(chip, store)
-                    fraction = active_fraction(component)
-                    value = base * (
-                        fraction * factor + (1 - fraction) * off_leak
-                    )
-                    store.memo[key] = value
-                return value
-            idle_leak = 0.0 if self.name is PolicyName.IDEAL else off_leak
-            key = ("peak_temporal", component, base, idle_leak, token)
-            value = store.memo.get(key)
-            if value is None:
-                fraction = active_fraction(component)
-                value = base * (fraction + (1 - fraction) * idle_leak)
-                store.memo[key] = value
-            return value
-
-        static_w = np.zeros_like(latency)
+    def _evaluate_oracle(
+        self, profile: WorkloadProfile, power_model: ChipPowerModel
+    ) -> EnergyReport:
+        """The object-path report: per-operator and per-gap loops."""
+        chip = profile.chip
+        total_time_s = profile.total_time_s
+        report = EnergyReport(
+            policy=self.name,
+            baseline_time_s=total_time_s,
+            overhead_time_s=0.0,
+        )
+        exposed_cycles = 0.0
         for component in Component.all():
-            static_w = static_w + contribution(component)
-        return np.where(mask, dynamic_w + static_w, 0.0)
+            report.dynamic_energy_j[component] = profile.dynamic_energy_j(component)
 
-    # ------------------------------------------------------------------ #
-    # Batched multi-profile evaluation (serving-style deployments)
-    # ------------------------------------------------------------------ #
+        static = power_model.static_power_by_component()
+
+        def idle_accounting(component: Component) -> _IdleAccounting:
+            return self._idle_energy(
+                component, profile.gap_profiles(component), static[component], chip
+            )
+
+        # Never-gated logic leaks for the whole execution.
+        report.static_energy_j[Component.OTHER] = (
+            static[Component.OTHER] * total_time_s
+        )
+
+        # Systolic arrays: active-time leakage (possibly spatially gated)
+        # plus idle-time leakage under the temporal gating scheme.
+        sa_idle = idle_accounting(Component.SA)
+        sa_active_j = self._sa_active_energy(profile, static[Component.SA])
+        report.static_energy_j[Component.SA] = sa_active_j + sa_idle.energy_j
+        report.gating_events[Component.SA] = sa_idle.gated_gaps
+        exposed_cycles += sa_idle.exposed_wake_cycles
+
+        # Vector units, then the HBM and ICI controllers: hardware idle
+        # detection in every ReGate variant, whose wake-up delay the DMA
+        # latency amortizes, so it is no performance overhead.
+        for component in (Component.VU, Component.HBM, Component.ICI):
+            idle = idle_accounting(component)
+            report.static_energy_j[component] = (
+                static[component] * profile.active_s(component) + idle.energy_j
+            )
+            report.gating_events[component] = idle.gated_gaps
+            if component is Component.VU:
+                exposed_cycles += idle.exposed_wake_cycles
+
+        # SRAM capacity gating.
+        report.static_energy_j[Component.SRAM] = self._sram_energy(
+            profile, static[Component.SRAM]
+        )
+        report.gating_events[Component.SRAM] = float(len(profile.profiles))
+
+        report.overhead_time_s = chip.cycles_to_seconds(exposed_cycles)
+        # The exposed wake-up delays keep the whole chip powered a little
+        # longer; charge that time at the un-gated static power.
+        if report.overhead_time_s > 0:
+            total_static_power = sum(static.values())
+            extra = total_static_power * report.overhead_time_s
+            report.static_energy_j[Component.OTHER] += extra
+
+        report.peak_power_w = self._peak_power(profile, power_model)
+        return report
+
     def batch_evaluate(
         self,
         profiles: "list[WorkloadProfile] | PackedProfiles | ChipMajorPacks",
@@ -1228,202 +792,19 @@ class PowerGatingPolicy:
         """Evaluate this policy across a batch of profiles at once.
 
         Bit-identical to ``[self.evaluate(p, power_model) for p in
-        profiles]``, but the per-gap / per-operator accounting runs in
-        single NumPy calls over the packed (offset-indexed) arrays of
-        the whole batch — the API a serving-style deployment uses to
-        price one gating design across a fleet of workload profiles.
-
-        Accepts a pre-built :class:`PackedProfiles` so several policies
-        can share one packing.  Falls back to the per-profile loop when
-        the fast path is off, profiles span multiple chips (packs are
-        single-chip; plain lists are grouped internally), or a subclass
-        customizes the accounting hooks or ``evaluate`` itself.
+        profiles]``: an n×1 call into :meth:`grid_evaluate`, the API a
+        serving-style deployment uses to price one gating design across
+        a fleet of workload profiles.  Accepts a pre-built
+        :class:`PackedProfiles` or :class:`ChipMajorPacks` so several
+        policies can share one packing.
         """
-        if isinstance(profiles, PackedProfiles):
-            if not _packed_dispatch_safe(type(self)):
-                return [
-                    self.evaluate(profile, power_model)
-                    for profile in profiles.profiles
-                ]
-            model = power_model or ChipPowerModel.for_chip(profiles.chip)
-            return self._evaluate_packed(profiles, model)
-        if isinstance(profiles, ChipMajorPacks):
-            if not _packed_dispatch_safe(type(self)):
-                return [
-                    self.evaluate(profile, power_model)
-                    for profile in profiles.profiles
-                ]
-            reports: list[EnergyReport | None] = [None] * profiles.n_profiles
-            for pack, columns in zip(profiles.packs, profiles.pack_indices):
-                model = power_model or ChipPowerModel.for_chip(pack.chip)
-                for index, report in zip(columns, self._evaluate_packed(pack, model)):
-                    reports[index] = report
-            return reports
-        profiles = list(profiles)
-        if not _packed_dispatch_safe(type(self)) or not columnar.fast_path_enabled():
-            return [self.evaluate(profile, power_model) for profile in profiles]
-        reports: list[EnergyReport | None] = [None] * len(profiles)
-        groups: dict[int, list[int]] = {}
-        for index, profile in enumerate(profiles):
-            groups.setdefault(id(profile.chip), []).append(index)
-        for indices in groups.values():
-            packed = PackedProfiles.pack([profiles[i] for i in indices])
-            if packed is None or len(indices) == 1:
-                for i in indices:
-                    reports[i] = self.evaluate(profiles[i], power_model)
-                continue
-            model = power_model or ChipPowerModel.for_chip(packed.chip)
-            for i, report in zip(indices, self._evaluate_packed(packed, model)):
-                reports[i] = report
-        return reports
-
-    def _evaluate_packed(
-        self, pack: PackedProfiles, power_model: ChipPowerModel
-    ) -> list[EnergyReport]:
-        """Packed counterpart of :meth:`evaluate` (same scalar assembly)."""
-        chip = pack.chip
-        static = power_model.static_power_by_component()
-        pack.base_totals()
-        total_time = pack.total_time_s().tolist()
-        dynamic_totals = {
-            component: pack.dynamic_total_j(component).tolist()
-            for component in Component.all()
-        }
-        active_totals = {
-            component: pack.active_total_s(component).tolist()
-            for component in (Component.VU, Component.HBM, Component.ICI)
-        }
-
-        sa_idle = self._idle_energy_packed(Component.SA, pack, static[Component.SA], chip)
-        vu_idle = self._idle_energy_packed(Component.VU, pack, static[Component.VU], chip)
-        hbm_idle = self._idle_energy_packed(
-            Component.HBM, pack, static[Component.HBM], chip
+        grid = self.grid_evaluate(
+            profiles, ParameterTable.point(self.parameters), power_model
         )
-        ici_idle = self._idle_energy_packed(
-            Component.ICI, pack, static[Component.ICI], chip
-        )
-        sa_active_j = self._sa_active_energy_packed(
-            pack, static[Component.SA]
-        ).tolist()
-        sram_j = self._sram_energy_packed(pack, static[Component.SRAM]).tolist()
-        peak_w = self._peak_power_packed(pack, power_model).tolist()
-        n_ops = pack.n_ops.tolist()
-        total_static_power = sum(static.values())
-
-        idle_lists = {
-            component: tuple(array.tolist() for array in accounting)
-            for component, accounting in (
-                (Component.SA, sa_idle),
-                (Component.VU, vu_idle),
-                (Component.HBM, hbm_idle),
-                (Component.ICI, ici_idle),
-            )
-        }
-        reports: list[EnergyReport] = []
-        for b in range(pack.n_profiles):
-            report = EnergyReport(
-                policy=self.name,
-                baseline_time_s=total_time[b],
-                overhead_time_s=0.0,
-            )
-            exposed_cycles = 0.0
-            for component in Component.all():
-                report.dynamic_energy_j[component] = dynamic_totals[component][b]
-            report.static_energy_j[Component.OTHER] = (
-                static[Component.OTHER] * total_time[b]
-            )
-            sa_energy, sa_gated, sa_exposed = idle_lists[Component.SA]
-            report.static_energy_j[Component.SA] = sa_active_j[b] + sa_energy[b]
-            report.gating_events[Component.SA] = sa_gated[b]
-            exposed_cycles += sa_exposed[b]
-
-            vu_energy, vu_gated, vu_exposed = idle_lists[Component.VU]
-            report.static_energy_j[Component.VU] = (
-                static[Component.VU] * active_totals[Component.VU][b] + vu_energy[b]
-            )
-            report.gating_events[Component.VU] = vu_gated[b]
-            exposed_cycles += vu_exposed[b]
-
-            for component in (Component.HBM, Component.ICI):
-                energy, gated, _ = idle_lists[component]
-                report.static_energy_j[component] = (
-                    static[component] * active_totals[component][b] + energy[b]
-                )
-                report.gating_events[component] = gated[b]
-
-            report.static_energy_j[Component.SRAM] = sram_j[b]
-            report.gating_events[Component.SRAM] = float(n_ops[b])
-
-            report.overhead_time_s = chip.cycles_to_seconds(exposed_cycles)
-            if report.overhead_time_s > 0:
-                extra = total_static_power * report.overhead_time_s
-                report.static_energy_j[Component.OTHER] += extra
-            report.peak_power_w = peak_w[b]
-            reports.append(report)
-        return reports
-
-    def _idle_energy_packed(
-        self,
-        component: Component,
-        pack: PackedProfiles,
-        static_power_w: float,
-        chip,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Packed :meth:`_idle_energy_columnar`: per-profile arrays of
-        ``(energy_j, gated_gaps, exposed_wake_cycles)``."""
-        gap_s, num_gaps = pack.gap_table(component)
-        zeros = np.zeros(pack.n_profiles, dtype=np.float64)
-        if not self.gating_enabled:
-            energy = static_power_w * pack.seg_sums(gap_s * num_gaps)
-            return energy, zeros, zeros
-        coeff = self._idle_coefficients(component, static_power_w, chip)
-        energy_values, gated_mask = _idle_gap_values(
-            coeff, static_power_w, gap_s, num_gaps
-        )
-        gated_values = np.where(gated_mask, num_gaps, 0.0)
-        if coeff.software:
-            energy, gated = pack.seg_sums_multi((energy_values, gated_values))
-            return energy, gated, zeros
-        energy, gated, exposed = pack.seg_sums_multi(
-            (
-                energy_values,
-                gated_values,
-                np.where(gated_mask, coeff.delay_cycles * num_gaps, 0.0),
-            )
-        )
-        return energy, gated, exposed
-
-    def _sa_active_energy_packed(
-        self, pack: PackedProfiles, static_power_w: float
-    ) -> np.ndarray:
-        """Packed :meth:`_sa_active_energy_columnar` (per-profile array)."""
-        if not self.spatial_sa_gating:
-            return static_power_w * pack.active_total_s(Component.SA)
-        active = pack.weighted_active(Component.SA)
-        factor = self._spatial_factor_array(pack.chip, pack)
-        return pack.seg_sums(
-            np.where(active > 0.0, static_power_w * active * factor, 0.0)
-        )
-
-    def _sram_energy_packed(
-        self, pack: PackedProfiles, static_power_w: float
-    ) -> np.ndarray:
-        """Packed :meth:`_sram_energy_columnar` (per-profile array)."""
-        if not self.gating_enabled:
-            return static_power_w * pack.total_time_s()
-        duration = pack.weighted_latency()
-        factor = self._sram_factor_array(pack.chip, pack)
-        return pack.seg_sums(static_power_w * duration * factor)
-
-    def _peak_power_packed(
-        self, pack: PackedProfiles, power_model: ChipPowerModel
-    ) -> np.ndarray:
-        """Packed :meth:`_peak_power_columnar` (per-profile array)."""
-        values = self._peak_power_values(pack, pack.chip, power_model)
-        return pack.seg_max(values)
+        return grid.reports(0)
 
     # ------------------------------------------------------------------ #
-    # Grid-batched evaluation (profiles × gating-parameter points)
+    # The grid kernel (profiles × gating-parameter points)
     # ------------------------------------------------------------------ #
     def grid_evaluate(
         self,
@@ -1433,53 +814,44 @@ class PowerGatingPolicy:
     ) -> GridEnergyReports:
         """Evaluate this policy over all profiles × all parameter points.
 
-        The sensitivity-sweep kernel: one call prices a whole (profile
-        batch × gating-parameter grid) in a handful of vectorized NumPy
+        The one policy kernel: a call prices a whole (profile batch ×
+        gating-parameter grid) in a handful of vectorized NumPy
         operations, with the parameter axis riding along as extra rows
         of the packed segment reductions.  Bit-identical to the
         per-point oracle ::
 
-            [type(self)(parameters).batch_evaluate(profiles, power_model)
+            [replace(self, parameters=parameters).batch_evaluate(
+                profiles, power_model)
              for parameters in parameter_grid]
 
         ``self.parameters`` never influences the result — every point's
         coefficients come from the grid.  Accepts a pre-built
         :class:`PackedProfiles` (single chip), a :class:`ChipMajorPacks`
         (chip-heterogeneous batch) or a plain profile list, so one
-        packing can be shared by every policy of a sweep.  Falls back to
-        looping ``batch_evaluate`` per point when the fast path is off
-        or a subclass customizes the accounting hooks, ``evaluate`` or
-        ``__init__`` (the per-point policies are then shallow copies of
-        ``self`` with ``parameters`` swapped, so a custom constructor
-        signature can never mis-bind a grid point's parameters).
+        packing can be shared by every policy of a sweep.  A list that
+        cannot be packed (fast path off, or a profile without a
+        columnar table) is priced cell by cell through :meth:`evaluate`.
         """
         ptable = ParameterTable.of(parameter_grid)
-        cls = type(self)
-        packs: list[PackedProfiles] | None = None
-        pack_columns: list[list[int]] | None = None
         if isinstance(profiles, PackedProfiles):
-            if _grid_dispatch_safe(cls):
-                packs = [profiles]
-                pack_columns = [list(range(profiles.n_profiles))]
+            packs, pack_columns = [profiles], None
         elif isinstance(profiles, ChipMajorPacks):
-            if _grid_dispatch_safe(cls):
-                packs = profiles.packs
-                pack_columns = profiles.pack_indices
+            packs, pack_columns = profiles.packs, profiles.pack_indices
         else:
             profiles = list(profiles)
-            if _grid_dispatch_safe(cls):
-                multi = ChipMajorPacks.pack(profiles)
-                if multi is not None:
-                    packs = multi.packs
-                    pack_columns = multi.pack_indices
-        if packs is None:
-            per_point = [
-                self._policy_for_point(parameters).batch_evaluate(
-                    profiles, power_model
-                )
-                for parameters in ptable.parameters
-            ]
-            return GridEnergyReports.from_reports(self.name, per_point)
+            multi = ChipMajorPacks.pack(profiles)
+            if multi is None:
+                per_point = [
+                    [
+                        replace(self, parameters=parameters).evaluate(
+                            profile, power_model
+                        )
+                        for profile in profiles
+                    ]
+                    for parameters in ptable.parameters
+                ]
+                return GridEnergyReports.from_reports(self.name, per_point)
+            packs, pack_columns = multi.packs, multi.pack_indices
 
         parts = [
             self._evaluate_grid_pack(
@@ -1493,22 +865,6 @@ class PowerGatingPolicy:
             return parts[0]
         return self._merge_grid_parts(parts, pack_columns, ptable)
 
-    def _policy_for_point(self, parameters: GatingParameters) -> "PowerGatingPolicy":
-        """This policy re-parameterized for one grid point.
-
-        Stock constructors get a fresh ``type(self)(parameters)`` — the
-        documented oracle.  A subclass with a customized ``__init__``
-        (unknown signature; its first positional may not be
-        ``parameters``) gets a shallow copy of ``self`` with only
-        ``parameters`` swapped, so subclass state carries over and a
-        grid point's parameters can never bind to the wrong argument.
-        """
-        if _first_definer(type(self), "__init__") is PowerGatingPolicy:
-            return type(self)(parameters)
-        clone = copy.copy(self)
-        clone.parameters = parameters
-        return clone
-
     def _merge_grid_parts(
         self,
         parts: list[GridEnergyReports],
@@ -1516,8 +872,7 @@ class PowerGatingPolicy:
         ptable: ParameterTable,
     ) -> GridEnergyReports:
         """Reassemble per-chip grid reports into the caller's profile order."""
-        n_profiles = sum(len(columns) for columns in pack_columns)
-        shape = (ptable.n_points, n_profiles)
+        shape = (ptable.n_points, sum(len(columns) for columns in pack_columns))
 
         def merge(read) -> np.ndarray:
             out = np.empty(shape, dtype=np.float64)
@@ -1525,106 +880,188 @@ class PowerGatingPolicy:
                 out[:, columns] = read(part)
             return out
 
+        def merge_map(name: str, order) -> dict[Component, np.ndarray]:
+            return {
+                c: merge(lambda part, c=c: getattr(part, name)[c]) for c in order
+            }
+
         return GridEnergyReports(
             self.name,
             baseline_time_s=merge(lambda part: part.baseline_time_s),
             overhead_time_s=merge(lambda part: part.overhead_time_s),
-            static_energy_j={
-                c: merge(lambda part, c=c: part.static_energy_j[c])
-                for c in STATIC_ENERGY_ORDER
-            },
-            dynamic_energy_j={
-                c: merge(lambda part, c=c: part.dynamic_energy_j[c])
-                for c in Component.all()
-            },
-            gating_events={
-                c: merge(lambda part, c=c: part.gating_events[c])
-                for c in GATING_EVENT_ORDER
-            },
+            static_energy_j=merge_map("static_energy_j", STATIC_ENERGY_ORDER),
+            dynamic_energy_j=merge_map("dynamic_energy_j", Component.all()),
+            gating_events=merge_map("gating_events", GATING_EVENT_ORDER),
             peak_power_w=merge(lambda part: part.peak_power_w),
         )
 
     def _evaluate_grid_pack(
         self, pack: PackedProfiles, ptable: ParameterTable, power_model: ChipPowerModel
     ) -> GridEnergyReports:
-        """Grid counterpart of :meth:`_evaluate_packed` (array assembly).
+        """Grid counterpart of :meth:`_evaluate_oracle` (array assembly).
 
-        Every scalar assembly step of the packed path reappears here as
-        one elementwise operation over ``(n_points, n_profiles)`` arrays
-        — same operations, same order, bit-identical doubles.
+        Every scalar assembly step of the oracle reappears here as one
+        elementwise operation over ``(n_points, n_profiles)`` arrays —
+        same operations, same order, bit-identical doubles.
         """
-        chip = pack.chip
         static = power_model.static_power_by_component()
-        shape = (ptable.n_points, pack.n_profiles)
-        pack.base_totals()
-        total_time = pack.total_time_s()
-
-        sa_idle = self._idle_energy_grid(
-            Component.SA, pack, ptable, static[Component.SA], chip
-        )
-        vu_idle = self._idle_energy_grid(
-            Component.VU, pack, ptable, static[Component.VU], chip
-        )
-        hbm_idle = self._idle_energy_grid(
-            Component.HBM, pack, ptable, static[Component.HBM], chip
-        )
-        ici_idle = self._idle_energy_grid(
-            Component.ICI, pack, ptable, static[Component.ICI], chip
-        )
-        sa_active_j = self._sa_active_energy_grid(pack, ptable, static[Component.SA])
-        sram_j = self._sram_energy_grid(pack, ptable, static[Component.SRAM])
-        peak_w = self._peak_power_grid(pack, ptable, power_model)
-
+        base = self._grid_base(pack, ptable.n_points, power_model)
+        sa, vu, hbm, ici = [
+            self._component_grid(c, pack, ptable, static[c]) for c in _IDLE_COMPONENTS
+        ]
         # exposed_cycles = 0.0 + SA + VU, as in the scalar assembly.
-        exposed_cycles = sa_idle[2] + vu_idle[2]
-        overhead_time_s = chip.cycles_to_seconds(exposed_cycles)
-        overhead_time_s = np.broadcast_to(overhead_time_s, shape)
-
-        other_j = static[Component.OTHER] * total_time
-        total_static_power = sum(static.values())
-        extra_j = total_static_power * overhead_time_s
+        overhead_time_s = pack.chip.cycles_to_seconds(sa[2] + vu[2])
+        # The oracle adds the extra leakage only when the overhead is
+        # positive; adding the exact +0.0 of a zero overhead is the same.
+        extra_j = base["total_static_power"] * overhead_time_s
         static_energy = {
-            Component.OTHER: np.where(
-                overhead_time_s > 0.0,
-                other_j + extra_j,
-                np.broadcast_to(other_j, shape),
+            Component.OTHER: base["other_j"] + extra_j,
+            Component.SA: sa[0],
+            Component.VU: vu[0],
+            Component.HBM: hbm[0],
+            Component.ICI: ici[0],
+            Component.SRAM: self._sram_energy_grid(
+                pack, ptable, static[Component.SRAM]
             ),
-            Component.SA: sa_active_j + sa_idle[0],
-            Component.VU: (
-                static[Component.VU] * pack.active_total_s(Component.VU)
-                + vu_idle[0]
-            ),
-            Component.HBM: (
-                static[Component.HBM] * pack.active_total_s(Component.HBM)
-                + hbm_idle[0]
-            ),
-            Component.ICI: (
-                static[Component.ICI] * pack.active_total_s(Component.ICI)
-                + ici_idle[0]
-            ),
-            Component.SRAM: np.broadcast_to(sram_j, shape),
         }
         gating_events = {
-            Component.SA: np.broadcast_to(sa_idle[1], shape),
-            Component.VU: np.broadcast_to(vu_idle[1], shape),
-            Component.HBM: np.broadcast_to(hbm_idle[1], shape),
-            Component.ICI: np.broadcast_to(ici_idle[1], shape),
-            Component.SRAM: np.broadcast_to(pack.n_ops, shape),
+            Component.SA: sa[1],
+            Component.VU: vu[1],
+            Component.HBM: hbm[1],
+            Component.ICI: ici[1],
+            Component.SRAM: base["sram_events"],
         }
         return GridEnergyReports(
             self.name,
-            baseline_time_s=np.broadcast_to(total_time, shape),
+            baseline_time_s=base["baseline_time_s"],
             overhead_time_s=overhead_time_s,
-            static_energy_j={
-                c: np.broadcast_to(static_energy[c], shape) for c in STATIC_ENERGY_ORDER
-            },
-            dynamic_energy_j={
-                c: np.broadcast_to(pack.dynamic_total_j(c), shape)
-                for c in Component.all()
-            },
+            static_energy_j=static_energy,
+            dynamic_energy_j=dict(base["dynamic_energy_j"]),
             gating_events=gating_events,
-            peak_power_w=np.broadcast_to(peak_w, shape),
+            peak_power_w=self._peak_power_grid(pack, ptable, power_model),
         )
+
+    @staticmethod
+    def _grid_base(
+        pack: PackedProfiles, n_points: int, power_model: ChipPowerModel
+    ) -> dict:
+        """The policy-independent report terms of one pack.
+
+        Memoized per parameter-axis length and power model, so every
+        policy priced on the pack shares them.  The key holds the model
+        itself, so its identity cannot be recycled while the entry lives.
+        """
+
+        def compute() -> dict:
+            static = power_model.static_power_by_component()
+            index, matrix = pack.totals()
+            along = pack.totals_along(n_points)
+            return {
+                "baseline_time_s": along[index["total_time_s"]],
+                "sram_events": along[index["n_ops"]],
+                "dynamic_energy_j": {
+                    c: along[index["dynamic", c]] for c in Component.all()
+                },
+                "other_j": static[Component.OTHER] * matrix[index["total_time_s"]],
+                "total_static_power": sum(static.values()),
+            }
+
+        return _memoized(pack, ("grid_base", n_points, power_model), compute)
+
+    def _component_grid(
+        self,
+        component: Component,
+        pack: PackedProfiles,
+        ptable: ParameterTable,
+        static_power_w: float,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(static_energy_j, gating_events, exposed_wake_cycles)`` of one
+        idle-accounted component, as ``(n_points, n_profiles)`` arrays.
+
+        The static energy is the active-time leakage plus the idle
+        accounting of :meth:`_idle_energy`, as :meth:`_evaluate_oracle`
+        adds them.  Memoized on the pack by every input, so rows gating
+        a component the same way (e.g. ReGate-Base/HW/Full on the HBM
+        controller) share one computation.  Only the SA and VU wake-ups
+        are exposed; the other components report zero exposed cycles.
+        """
+        key = (
+            "component",
+            component,
+            static_power_w,
+            self.ideal,
+            self.gating_enabled,
+            self._timing_variant(component),
+            self._uses_software_gating(component),
+            ptable.tokens,
+        )
+        args = (component, pack, ptable, static_power_w)
+        return _memoized(pack, key, self._component_values, *args, readonly=True)
+
+    def _component_values(
+        self,
+        component: Component,
+        pack: PackedProfiles,
+        ptable: ParameterTable,
+        static_power_w: float,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if component is Component.SA:
+            active_j = self._sa_active_energy_grid(pack, ptable, static_power_w)
+        else:
+            active_j = static_power_w * pack.total(("active", component))
+        energy, gated, exposed = self._idle_energy_grid(
+            component, pack, ptable, static_power_w
+        )
+        return active_j + energy, gated, exposed
+
+    def _idle_energy_grid(
+        self,
+        component: Component,
+        pack: PackedProfiles,
+        ptable: ParameterTable,
+        static_power_w: float,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Grid :meth:`_idle_energy`: ``(energy_j, gated_gaps,
+        exposed_wake_cycles)``."""
+        n_points = ptable.n_points
+        zeros = np.zeros((n_points, pack.n_profiles))
+        if self.ideal:
+            return zeros, pack.total(("gaps", component), n_points), zeros
+        if not self.gating_enabled:
+            idle_s = pack.total(("idle_s", component), n_points)
+            return static_power_w * idle_s, zeros, zeros
+        coeff = self._idle_coefficient_columns(
+            component, ptable, static_power_w, pack.chip
+        )
+        # The gated-gap expressions of _idle_energy, with the (n_points, 1)
+        # coefficient columns broadcasting along the per-gap axis:
+        # elementwise, every point sees exactly the scalar expressions.  A
+        # zero-padded gap adds an exact +0.0 to every sequential sum, so
+        # the sums equal the oracle's filtered loop.
+        gap_s, num_gaps = pack.gap_table(component)
+        valid = _memoized(
+            pack,
+            ("valid_gaps", component),
+            lambda: (gap_s > 0.0) & (num_gaps > 0.0),
+        )
+        below = gap_s <= coeff.threshold_s
+        gated_s = gap_s - coeff.window_s
+        per_gap = (
+            static_power_w * coeff.window_s
+            + static_power_w * coeff.off_leakage * gated_s
+            + coeff.transition_j
+        )
+        ungated_j = static_power_w * (gap_s * num_gaps)
+        energy = np.where(valid, np.where(below, ungated_j, per_gap * num_gaps), 0.0)
+        gated_mask = valid & ~below
+        rows = [energy, np.where(gated_mask, num_gaps, 0.0)]
+        exposed = not coeff.software and component in (Component.SA, Component.VU)
+        if exposed:
+            rows.append(np.where(gated_mask, coeff.delay_cycles * num_gaps, 0.0))
+        sums = pack.seg_sums_matrix(np.concatenate(rows))
+        if not exposed:
+            return sums[:n_points], sums[n_points:], zeros
+        return sums[:n_points], sums[n_points : 2 * n_points], sums[2 * n_points :]
 
     def _idle_coefficient_columns(
         self,
@@ -1635,145 +1072,98 @@ class PowerGatingPolicy:
     ) -> IdleCoefficientColumns:
         """Per-point idle coefficients as aligned ``(n_points, 1)`` columns.
 
-        Policies with stock coefficient hooks get the vectorized
-        derivation (:func:`grid_idle_coefficient_columns`), which is
-        elementwise-identical to the scalar function; a subclass that
-        redefines any coefficient hook falls back to deriving each
-        point's scalars through a fresh per-point policy instance —
-        exactly the objects the per-point oracle consumes.  Either way
-        the columns are memoized on the parameter table per (policy
-        class, component, static power, chip).  The chip spec itself
-        (frozen, hashable) is part of the key — an ``id()`` key could
-        alias a recycled address to stale chip-frequency-dependent
-        coefficients.
+        The vectorized derivation
+        (:func:`~repro.gating.bet.grid_idle_coefficient_columns`) is
+        elementwise-identical to :meth:`_idle_coefficients`.  The columns
+        are memoized on the parameter table by every input of the
+        derivation, and :meth:`ParameterTable.point` keeps one table per
+        parameters instance, so 1×1 and n×1 calls derive them once.  The
+        chip spec itself (frozen, hashable) is part of the key — an
+        ``id()`` key could alias a recycled address to stale
+        chip-frequency-dependent coefficients.
         """
-        key = ("idle_coeffs", type(self), component, static_power_w, chip)
-        cached = ptable.memo.get(key)
-        if cached is None:
-            cls = type(self)
-            if _coefficient_columns_safe(cls):
-                cached = grid_idle_coefficient_columns(
-                    ptable,
-                    component,
-                    self._timing_variant(component),
-                    static_power_w,
-                    chip,
-                    software=self._uses_software_gating(component),
-                    min_window_cycles=(
-                        MIN_VU_DETECTION_WINDOW_CYCLES
-                        if component is Component.VU
-                        else 0.0
-                    ),
-                )
-            else:
-                cached = IdleCoefficientColumns.from_coefficients(
-                    [
-                        cls(parameters)._idle_coefficients(
-                            component, static_power_w, chip
-                        )
-                        for parameters in ptable.parameters
-                    ]
-                )
-            ptable.memo[key] = cached
-        return cached
+        variant = self._timing_variant(component)
+        software = self._uses_software_gating(component)
+        return _memoized(
+            ptable,
+            ("idle_coeffs", component, variant, software, static_power_w, chip),
+            lambda: grid_idle_coefficient_columns(
+                ptable,
+                component,
+                variant,
+                static_power_w,
+                chip,
+                software=software,
+                min_window_cycles=_min_window_cycles(component),
+            ),
+        )
 
-    def _idle_energy_grid(
-        self,
-        component: Component,
-        pack: PackedProfiles,
-        ptable: ParameterTable,
-        static_power_w: float,
-        chip,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Grid :meth:`_idle_energy_packed`: ``(n_points, n_profiles)``
-        arrays of ``(energy_j, gated_gaps, exposed_wake_cycles)``."""
-        gap_s, num_gaps = pack.gap_table(component)
-        n_points = ptable.n_points
-        shape = (n_points, pack.n_profiles)
-        zeros = np.zeros(shape)
-        if not self.gating_enabled:
-            energy = static_power_w * pack.seg_sums(gap_s * num_gaps)
-            return np.broadcast_to(energy, shape), zeros, zeros
-        coeffs = self._idle_coefficient_columns(
-            component, ptable, static_power_w, chip
-        )
-        # The shared per-gap expressions, with the coefficient columns
-        # broadcasting along the parameter axis.
-        energy_values, gated_mask = _idle_gap_values(
-            coeffs, static_power_w, gap_s, num_gaps
-        )
-        gated_values = np.where(gated_mask, num_gaps, 0.0)
-        if coeffs.software:
-            sums = pack.seg_sums_matrix(np.vstack((energy_values, gated_values)))
-            return sums[:n_points], sums[n_points:], zeros
-        exposed_values = np.where(gated_mask, coeffs.delay_cycles * num_gaps, 0.0)
-        sums = pack.seg_sums_matrix(
-            np.vstack((energy_values, gated_values, exposed_values))
-        )
-        return (
-            sums[:n_points],
-            sums[n_points : 2 * n_points],
-            sums[2 * n_points :],
-        )
+    def _spatial_shares(self, pack: PackedProfiles) -> tuple[np.ndarray, ...]:
+        """Memoized per-operator ``(active, weight_only, off)`` PE shares.
+
+        They depend only on the matmul shapes and the SA width, not on
+        the gating parameters.
+        """
+
+        def compute() -> tuple[np.ndarray, ...]:
+            model = SpatialGatingModel(pack.chip.sa_width, self.parameters)
+            dims = (pack.dims_m, pack.dims_k, pack.dims_n, pack.has_dims)
+            return model.shares_arrays(*dims)
+
+        return _memoized(pack, "spatial_shares", compute)
 
     def _spatial_factor_grid(
         self, pack: PackedProfiles, ptable: ParameterTable
     ) -> np.ndarray:
-        """Grid :meth:`_spatial_factor_array`: ``(n_points, n_ops)``.
+        """Per-operator spatial static-power factor: ``(n_points, n_ops)``.
 
-        The PE-share split is parameter-independent (it only depends on
-        the matmul shapes and the SA width), so it is computed once per
-        pack; each point then applies its own leakage scalars — the same
-        left-to-right expression as the scalar factor.
+        Each point applies its own leakage scalars to the shared PE
+        shares — the same left-to-right expression as the scalar factor.
         """
-        key = ("spatial_factor_grid", ptable.tokens)
-        cached = pack.memo.get(key)
-        if cached is None:
-            shares = pack.memo.get("spatial_shares")
-            if shares is None:
-                model = SpatialGatingModel(pack.chip.sa_width, self.parameters)
-                shares = model.shares_arrays(
-                    pack.dims_m, pack.dims_k, pack.dims_n, pack.has_dims
-                )
-                pack.memo["spatial_shares"] = shares
-            active, weight_only, off = shares
+
+        def compute() -> np.ndarray:
+            active, weight_only, off = self._spatial_shares(pack)
             off_leak = ptable.logic_off[:, None]
             weight_share = ptable.pe_weight_register_share[:, None]
             w_on_leak = weight_share + (1.0 - weight_share) * off_leak
-            cached = active + weight_only * w_on_leak + off * off_leak
-            pack.memo[key] = cached
-        return cached
+            return active + weight_only * w_on_leak + off * off_leak
+
+        return _memoized(pack, ("spatial_factor_grid", ptable.tokens), compute)
 
     def _sram_factor_grid(
         self, pack: PackedProfiles, ptable: ParameterTable
     ) -> np.ndarray:
-        """Grid :meth:`_sram_factor_array`: ``(n_points, n_ops)``."""
-        key = ("sram_factor_grid", self.software_managed, ptable.tokens)
-        cached = pack.memo.get(key)
-        if cached is None:
-            fractions = pack.memo.get("sram_used_fraction")
-            if fractions is None:
-                capacity = pack.chip.sram_bytes
-                used = np.minimum(
-                    1.0, np.maximum(0.0, pack.sram_demand_bytes / capacity)
-                )
-                fractions = (used, 1.0 - used)
-                pack.memo["sram_used_fraction"] = fractions
-            used, unused = fractions
-            leak = ptable.sram_off if self.software_managed else ptable.sram_sleep
-            cached = used + unused * leak[:, None]
-            pack.memo[key] = cached
-        return cached
+        """Per-operator SRAM leakage factor: ``(n_points, n_ops)``."""
+        used = _memoized(
+            pack,
+            "sram_used_fraction",
+            lambda: np.minimum(
+                1.0, np.maximum(0.0, pack.sram_demand_bytes / pack.chip.sram_bytes)
+            ),
+        )
+        leak = ptable.sram_off if self.software_managed else ptable.sram_sleep
+        return _memoized(
+            pack,
+            ("sram_factor_grid", self.software_managed, ptable.tokens),
+            lambda: used + (1.0 - used) * leak[:, None],
+        )
 
     def _sa_active_energy_grid(
         self, pack: PackedProfiles, ptable: ParameterTable, static_power_w: float
     ) -> np.ndarray:
-        """Grid :meth:`_sa_active_energy_packed` (points × profiles)."""
-        shape = (ptable.n_points, pack.n_profiles)
-        if not self.spatial_sa_gating:
-            energy = static_power_w * pack.active_total_s(Component.SA)
-            return np.broadcast_to(energy, shape)
+        """Grid :meth:`_sa_active_energy` (points × profiles)."""
         active = pack.weighted_active(Component.SA)
+        if self.ideal:
+            # The roofline leaks only in the active PEs, whatever the
+            # gating parameters.
+            share = self._spatial_shares(pack)[0]
+            energy = pack.seg_sums_matrix(
+                np.where(active > 0.0, static_power_w * active * share, 0.0)
+            )
+            return _along_points(energy, ptable.n_points)
+        if not self.spatial_sa_gating:
+            active_s = pack.total(("active", Component.SA), ptable.n_points)
+            return static_power_w * active_s
         factor = self._spatial_factor_grid(pack, ptable)
         return pack.seg_sums_matrix(
             np.where(active > 0.0, static_power_w * active * factor, 0.0)
@@ -1782,251 +1172,99 @@ class PowerGatingPolicy:
     def _sram_energy_grid(
         self, pack: PackedProfiles, ptable: ParameterTable, static_power_w: float
     ) -> np.ndarray:
-        """Grid :meth:`_sram_energy_packed` (points × profiles)."""
-        shape = (ptable.n_points, pack.n_profiles)
-        if not self.gating_enabled:
-            return np.broadcast_to(static_power_w * pack.total_time_s(), shape)
-        duration = pack.weighted_latency()
-        factor = self._sram_factor_grid(pack, ptable)
-        return pack.seg_sums_matrix(static_power_w * duration * factor)
+        """Grid :meth:`_sram_energy` (points × profiles)."""
+        n_points = ptable.n_points
+
+        def compute() -> np.ndarray:
+            duration = pack.weighted_latency()
+            if self.ideal:
+                # Only the used capacity leaks, whatever the parameters.
+                used = np.minimum(1.0, pack.sram_demand_bytes / pack.chip.sram_bytes)
+                energy = pack.seg_sums_matrix(static_power_w * duration * used)
+                return _along_points(energy, n_points)
+            if not self.gating_enabled:
+                return static_power_w * pack.total("total_time_s", n_points)
+            factor = self._sram_factor_grid(pack, ptable)
+            return pack.seg_sums_matrix(static_power_w * duration * factor)
+
+        key = ("sram", static_power_w, self.ideal, self.gating_enabled)
+        key += (self.software_managed, ptable.tokens)
+        return _memoized(pack, key, compute, readonly=True)
 
     def _peak_power_grid(
         self, pack: PackedProfiles, ptable: ParameterTable, power_model: ChipPowerModel
     ) -> np.ndarray:
-        """Grid :meth:`_peak_power_packed` (points × profiles)."""
-        latency = pack.latency_s
-        mask = latency > 0.0
-        dynamic_w = _peak_dynamic_w(pack)
-        off_leak = ptable.logic_off[:, None]
-        ideal = self.name is PolicyName.IDEAL
+        """Grid :meth:`_peak_power` (points × profiles).
 
-        def contribution(component: Component) -> np.ndarray | float:
-            base = power_model.static_power_w(component)
-            if not self.gating_enabled or component is Component.OTHER:
-                return base
-            if component is Component.SRAM:
-                key = ("peak_sram_grid", base, self.software_managed, ptable.tokens)
-                value = pack.memo.get(key)
-                if value is None:
-                    value = base * self._sram_factor_grid(pack, ptable)
-                    pack.memo[key] = value
-                return value
-            if component is Component.SA and self.spatial_sa_gating:
-                key = ("peak_sa_spatial_grid", base, ptable.tokens)
-                value = pack.memo.get(key)
-                if value is None:
-                    factor = self._spatial_factor_grid(pack, ptable)
-                    fraction = _peak_active_fraction(pack, component)
-                    value = base * (
-                        fraction * factor + (1 - fraction) * off_leak
-                    )
-                    pack.memo[key] = value
-                return value
-            idle_leak = 0.0 if ideal else off_leak
-            key = ("peak_temporal_grid", component, base, ideal, ptable.tokens)
-            value = pack.memo.get(key)
-            if value is None:
-                fraction = _peak_active_fraction(pack, component)
-                value = base * (fraction + (1 - fraction) * idle_leak)
-                pack.memo[key] = value
-            return value
-
-        static_w: np.ndarray = np.zeros_like(latency)
+        The per-component static power arrays are memoized on the pack
+        and shared by every policy that accounts a component the same way.
+        """
+        static_w = 0.0  # the oracle's running sum (exact: no term is negative)
         for component in Component.all():
-            static_w = static_w + contribution(component)
-        values = np.where(mask, dynamic_w + static_w, 0.0)
+            base = power_model.static_power_w(component)
+            if self.gating_enabled and component is not Component.OTHER:
+                if component is Component.SRAM:
+                    scheme = self.software_managed
+                elif component is Component.SA and self.spatial_sa_gating:
+                    scheme = "spatial"
+                else:
+                    scheme = self.ideal
+                key = ("peak_static_w", component, base, scheme, ptable.tokens)
+                base = _memoized(
+                    pack, key, self._peak_static_w, component, base, pack, ptable
+                )
+            static_w = static_w + base
+        mask = _memoized(pack, "positive_latency", lambda: pack.latency_s > 0.0)
+        values = np.where(mask, _peak_dynamic_w(pack) + static_w, 0.0)
         if values.ndim == 1:
             # Every contribution was parameter-independent (e.g. NoPG).
-            maxes = pack.seg_max_matrix(values[None, :])[0]
-            return np.broadcast_to(maxes, (ptable.n_points, pack.n_profiles))
+            return _along_points(pack.seg_max_matrix(values), ptable.n_points)
         return pack.seg_max_matrix(values)
 
-
-class NoPGPolicy(PowerGatingPolicy):
-    """No power gating: the baseline the paper normalizes against."""
-
-    name = PolicyName.NOPG
-    gating_enabled = False
-
-
-class ReGateBasePolicy(PowerGatingPolicy):
-    """Component-granularity hardware idle detection (ReGate-Base)."""
-
-    name = PolicyName.REGATE_BASE
-    gating_enabled = True
-    spatial_sa_gating = False
-    software_managed = False
-
-
-class ReGateHWPolicy(PowerGatingPolicy):
-    """ReGate-Base plus PE-granularity spatial SA gating (ReGate-HW)."""
-
-    name = PolicyName.REGATE_HW
-    gating_enabled = True
-    spatial_sa_gating = True
-    software_managed = False
-
-
-class ReGateFullPolicy(PowerGatingPolicy):
-    """Full ReGate: hardware gating plus software-managed VU/SRAM gating."""
-
-    name = PolicyName.REGATE_FULL
-    gating_enabled = True
-    spatial_sa_gating = True
-    software_managed = True
-
-
-class IdealPolicy(PowerGatingPolicy):
-    """Roofline: zero leakage when idle, zero transition cost and delay."""
-
-    name = PolicyName.IDEAL
-    gating_enabled = True
-    spatial_sa_gating = True
-    software_managed = True
-
-    def _idle_energy(self, component, gaps, static_power_w, chip) -> _IdleAccounting:
-        return _IdleAccounting(energy_j=0.0, gated_gaps=sum(g.num_gaps for g in gaps))
-
-    def _idle_energy_columnar(
-        self, component, gap_s, num_gaps, static_power_w, chip, table=None
-    ) -> _IdleAccounting:
-        if table is None:
-            return _IdleAccounting(energy_j=0.0, gated_gaps=seq_sum(num_gaps))
-        key = ("ideal_gated_gaps", component)
-        gated = table.memo.get(key)
-        if gated is None:
-            gated = seq_sum(num_gaps)
-            table.memo[key] = gated
-        return _IdleAccounting(energy_j=0.0, gated_gaps=gated)
-
-    def _sa_active_energy(self, profile: WorkloadProfile, static_power_w: float) -> float:
-        model = SpatialGatingModel(profile.chip.sa_width, self.parameters)
-        energy = 0.0
-        for op_profile in profile.profiles:
-            active = op_profile.active_s(Component.SA) * op_profile.count
-            if active <= 0:
-                continue
-            shares = model.shares(op_profile.operator.dims)
-            energy += static_power_w * active * shares.active
-        return energy
-
-    def _sa_active_energy_columnar(
-        self, profile: WorkloadProfile, table: ProfileTable, static_power_w: float
-    ) -> float:
-        memo_key = ("ideal_sa_active_energy", static_power_w)
-        cached = table.memo.get(memo_key)
-        if cached is not None:
-            return cached
-        active = table.weighted_active(Component.SA)
-        active_share = table.memo.get("spatial_active_share")
-        if active_share is None:
-            model = SpatialGatingModel(profile.chip.sa_width, self.parameters)
-            active_share, _, _ = model.shares_arrays(
-                table.dims_m, table.dims_k, table.dims_n, table.has_dims
-            )
-            table.memo["spatial_active_share"] = active_share
-        energy = seq_sum(
-            np.where(active > 0.0, static_power_w * active * active_share, 0.0)
-        )
-        table.memo[memo_key] = energy
-        return energy
-
-    def _sram_energy(self, profile: WorkloadProfile, static_power_w: float) -> float:
-        capacity = profile.chip.sram_bytes
-        energy = 0.0
-        for op_profile in profile.profiles:
-            duration = op_profile.latency_s * op_profile.count
-            used = min(1.0, op_profile.sram_demand_bytes / capacity)
-            energy += static_power_w * duration * used
-        return energy
-
-    def _sram_energy_columnar(
-        self, profile: WorkloadProfile, table: ProfileTable, static_power_w: float
-    ) -> float:
-        memo_key = ("ideal_sram_energy", static_power_w)
-        cached = table.memo.get(memo_key)
-        if cached is not None:
-            return cached
-        capacity = profile.chip.sram_bytes
-        duration = table.weighted_latency()
-        used = np.minimum(1.0, table.sram_demand_bytes / capacity)
-        energy = seq_sum(static_power_w * duration * used)
-        table.memo[memo_key] = energy
-        return energy
-
-    # -- packed (batch) counterparts ------------------------------------- #
-    def _idle_energy_packed(
-        self, component, pack: PackedProfiles, static_power_w: float, chip
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        _, num_gaps = pack.gap_table(component)
-        zeros = np.zeros(pack.n_profiles, dtype=np.float64)
-        key = ("ideal_gated_gaps", component)
-        gated = pack.memo.get(key)
-        if gated is None:
-            gated = pack.seg_sums(num_gaps)
-            pack.memo[key] = gated
-        return zeros, gated, zeros
-
-    def _sa_active_energy_packed(
-        self, pack: PackedProfiles, static_power_w: float
+    def _peak_static_w(
+        self,
+        component: Component,
+        base: float,
+        pack: PackedProfiles,
+        ptable: ParameterTable,
     ) -> np.ndarray:
-        active = pack.weighted_active(Component.SA)
-        active_share = pack.memo.get("spatial_active_share")
-        if active_share is None:
-            model = SpatialGatingModel(pack.chip.sa_width, self.parameters)
-            active_share, _, _ = model.shares_arrays(
-                pack.dims_m, pack.dims_k, pack.dims_n, pack.has_dims
-            )
-            pack.memo["spatial_active_share"] = active_share
-        return pack.seg_sums(
-            np.where(active > 0.0, static_power_w * active * active_share, 0.0)
-        )
-
-    def _sram_energy_packed(
-        self, pack: PackedProfiles, static_power_w: float
-    ) -> np.ndarray:
-        capacity = pack.chip.sram_bytes
-        duration = pack.weighted_latency()
-        used = np.minimum(1.0, pack.sram_demand_bytes / capacity)
-        return pack.seg_sums(static_power_w * duration * used)
-
-    # -- grid (profiles × parameter points) counterparts ------------------ #
-    # The Ideal roofline's idle/SA/SRAM accounting is independent of the
-    # gating parameters, so each grid hook computes its per-profile
-    # values once and broadcasts them along the parameter axis — exactly
-    # the values the per-point packed hooks produce at every point.
-    def _idle_energy_grid(
-        self, component, pack: PackedProfiles, ptable, static_power_w: float, chip
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        _, num_gaps = pack.gap_table(component)
-        shape = (ptable.n_points, pack.n_profiles)
-        zeros = np.zeros(shape)
-        key = ("ideal_gated_gaps", component)
-        gated = pack.memo.get(key)
-        if gated is None:
-            gated = pack.seg_sums(num_gaps)
-            pack.memo[key] = gated
-        return zeros, np.broadcast_to(gated, shape), zeros
-
-    def _sa_active_energy_grid(
-        self, pack: PackedProfiles, ptable, static_power_w: float
-    ) -> np.ndarray:
-        energy = self._sa_active_energy_packed(pack, static_power_w)
-        return np.broadcast_to(energy, (ptable.n_points, pack.n_profiles))
-
-    def _sram_energy_grid(
-        self, pack: PackedProfiles, ptable, static_power_w: float
-    ) -> np.ndarray:
-        energy = self._sram_energy_packed(pack, static_power_w)
-        return np.broadcast_to(energy, (ptable.n_points, pack.n_profiles))
+        """Per-operator static power of one gated component (grid form of
+        the per-component branch of :meth:`_peak_power`)."""
+        if component is Component.SRAM:
+            return base * self._sram_factor_grid(pack, ptable)
+        fraction = _peak_active_fraction(pack, component)
+        off_leak = ptable.logic_off[:, None]
+        if component is Component.SA and self.spatial_sa_gating:
+            factor = self._spatial_factor_grid(pack, ptable)
+            return base * (fraction * factor + (1 - fraction) * off_leak)
+        idle_leak = 0.0 if self.ideal else off_leak
+        return base * (fraction + (1 - fraction) * idle_leak)
 
 
-_POLICIES: dict[PolicyName, type[PowerGatingPolicy]] = {
-    PolicyName.NOPG: NoPGPolicy,
-    PolicyName.REGATE_BASE: ReGateBasePolicy,
-    PolicyName.REGATE_HW: ReGateHWPolicy,
-    PolicyName.REGATE_FULL: ReGateFullPolicy,
-    PolicyName.IDEAL: IdealPolicy,
+#: The five designs of the paper's evaluation as data rows: which
+#: gating scheme each component gets (§6.1).
+_POLICIES: dict[PolicyName, PowerGatingPolicy] = {
+    row.name: row
+    for row in (
+        PowerGatingPolicy(PolicyName.NOPG),
+        PowerGatingPolicy(PolicyName.REGATE_BASE, gating_enabled=True),
+        PowerGatingPolicy(
+            PolicyName.REGATE_HW, gating_enabled=True, spatial_sa_gating=True
+        ),
+        PowerGatingPolicy(
+            PolicyName.REGATE_FULL,
+            gating_enabled=True,
+            spatial_sa_gating=True,
+            software_managed=True,
+        ),
+        PowerGatingPolicy(
+            PolicyName.IDEAL,
+            gating_enabled=True,
+            spatial_sa_gating=True,
+            software_managed=True,
+            ideal=True,
+        ),
+    )
 }
 
 
@@ -2038,22 +1276,20 @@ def list_policies() -> list[PolicyName]:
 def get_policy(
     name: PolicyName | str, parameters: GatingParameters | None = None
 ) -> PowerGatingPolicy:
-    """Instantiate a policy by name."""
-    return _POLICIES[PolicyName.parse(name)](parameters)
+    """The policy row of ``name``, priced at ``parameters`` (default: §6.1)."""
+    row = _POLICIES[PolicyName.parse(name)]
+    if parameters is None or parameters is row.parameters:
+        return row
+    return replace(row, parameters=parameters)
 
 
 __all__ = [
     "ChipMajorPacks",
     "GridEnergyReports",
-    "IdealPolicy",
-    "NoPGPolicy",
     "PackedProfiles",
     "ParameterTable",
     "PolicyName",
     "PowerGatingPolicy",
-    "ReGateBasePolicy",
-    "ReGateFullPolicy",
-    "ReGateHWPolicy",
     "get_policy",
     "list_policies",
 ]

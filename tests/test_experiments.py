@@ -250,3 +250,38 @@ class TestSimulateCached:
         stats = cache.stats()
         assert stats["misses"] == misses  # warm pass adds no misses
         assert stats["hits"] > 0
+
+
+class TestRowPayloads:
+    """Disk row entries decode only from the packed dict form; anything
+    else (a list, a scalar, a dict without the packed keys) is a miss in
+    every layer, never an exception."""
+
+    PACKED = {"columns": ["a", "b"], "values": [[1, 2.5], [3, 4.5]]}
+    FOREIGN = ([{"a": 1, "b": 2.5}], 7, {"columns": ["a"]})
+
+    def test_json_store_layer(self, tmp_path):
+        path = tmp_path / "cache.json"
+        store = JsonFileStore(path)
+        store.put("rows:good", self.PACKED)
+        for index, payload in enumerate(self.FOREIGN):
+            store.put(f"rows:bad{index}", payload)
+        store.flush()
+        cache = SimulationCache(path=path)
+        assert cache.get_rows_packed("good") == (("a", "b"), [(1, 2.5), (3, 4.5)])
+        for index in range(len(self.FOREIGN)):
+            assert cache.get_rows_packed(f"bad{index}") is None
+        assert cache.row_misses == len(self.FOREIGN)
+
+    def test_shared_dir_layer(self, tmp_path):
+        from repro.experiments.cache import SharedCacheDir
+
+        shared = SharedCacheDir(tmp_path / "shared")
+        shared.put_json("rows", "good", self.PACKED)
+        for index, payload in enumerate(self.FOREIGN):
+            shared.put_json("rows", f"bad{index}", payload)
+        cache = SimulationCache(shared_dir=shared)
+        assert cache.get_rows_packed("good") == (("a", "b"), [(1, 2.5), (3, 4.5)])
+        for index in range(len(self.FOREIGN)):
+            assert cache.get_rows_packed(f"bad{index}") is None
+        assert cache.row_misses == len(self.FOREIGN)

@@ -47,7 +47,7 @@ class TestFusedPassCallCounts:
         original = policies_module.PowerGatingPolicy.grid_evaluate
 
         def counting(self, profiles, parameter_grid, power_model=None):
-            calls.append(type(self).__name__)
+            calls.append(self.name)
             return original(self, profiles, parameter_grid, power_model)
 
         monkeypatch.setattr(

@@ -28,7 +28,7 @@ from repro.compiler.fusion import FusionPass
 from repro.compiler.tiling import TilingPass
 from repro.core.config import SimulationConfig
 from repro.core.regate import resolve_execution, simulate_workload
-from repro.gating.policies import PackedProfiles, ReGateBasePolicy, get_policy, list_policies
+from repro.gating.policies import PackedProfiles, get_policy, list_policies
 from repro.hardware.chips import chips_in_order, get_chip
 from repro.simulator.columnar import ProfileTable, use_fast_path
 from repro.simulator.engine import NPUSimulator
@@ -253,19 +253,6 @@ def test_batch_evaluate_shares_one_packing(fleet):
 def test_packed_profiles_reject_mixed_chips(fleet):
     with pytest.raises(ValueError, match="single chip"):
         PackedProfiles(fleet, [p.table for p in fleet])
-
-
-def test_batch_evaluate_falls_back_for_custom_subclasses(fleet):
-    class DoubledIdle(ReGateBasePolicy):
-        def _idle_energy(self, component, gaps, static_power_w, chip):
-            accounting = super()._idle_energy(component, gaps, static_power_w, chip)
-            accounting.energy_j *= 2.0
-            return accounting
-
-    single = fleet[:3]
-    with use_fast_path(True):
-        expected = [DoubledIdle().evaluate(p) for p in single]
-        assert DoubledIdle().batch_evaluate(single) == expected
 
 
 def test_batch_evaluate_off_fast_path(fleet):

@@ -13,8 +13,7 @@ These tests hold, across workloads × chips × policies × the Figure
   gathered from the per-point oracle's reports;
 * chip-heterogeneous batches (:class:`ChipMajorPacks`) reproduce the
   per-profile reports in the caller's order;
-* custom subclasses and a disabled fast path fall back to the
-  per-point oracle.
+* a disabled fast path falls back to the per-point oracle.
 
 The suite is written to pass with ``REPRO_FAST_PATH=0`` as well (CI
 runs it both ways): every fast-path expectation pins the switch with
@@ -39,7 +38,6 @@ from repro.gating.policies import (
     ChipMajorPacks,
     GridEnergyReports,
     PackedProfiles,
-    ReGateBasePolicy,
     get_policy,
     list_policies,
 )
@@ -259,51 +257,6 @@ class TestChipMajorPacks:
 # Fallbacks
 # ---------------------------------------------------------------------- #
 class TestFallbacks:
-    def test_custom_subclass_falls_back_to_oracle(self, single_chip):
-        class DoubledIdle(ReGateBasePolicy):
-            def _idle_energy(self, component, gaps, static_power_w, chip):
-                accounting = super()._idle_energy(
-                    component, gaps, static_power_w, chip
-                )
-                accounting.energy_j *= 2.0
-                return accounting
-
-        profiles = single_chip[:2]
-        with use_fast_path(True):
-            expected = [
-                [DoubledIdle(parameters).evaluate(p) for p in profiles]
-                for parameters in PARAMETER_GRID[:3]
-            ]
-            observed = DoubledIdle().grid_evaluate(profiles, PARAMETER_GRID[:3])
-        for index in range(3):
-            assert observed.reports(index) == expected[index]
-
-    def test_custom_init_subclass_binds_point_parameters(self, single_chip):
-        """Regression: a custom __init__ signature must never mis-bind a
-        grid point's parameters to another constructor argument."""
-
-        class Scaled(ReGateBasePolicy):
-            def __init__(self, scale: float = 2.0, parameters=None):
-                super().__init__(parameters)
-                self.scale = scale
-
-            def _idle_energy(self, component, gaps, static_power_w, chip):
-                accounting = super()._idle_energy(
-                    component, gaps, static_power_w, chip
-                )
-                accounting.energy_j *= self.scale
-                return accounting
-
-        profiles = single_chip[:2]
-        with use_fast_path(True):
-            observed = Scaled(scale=3.0).grid_evaluate(profiles, PARAMETER_GRID[:3])
-            for index, parameters in enumerate(PARAMETER_GRID[:3]):
-                expected = [
-                    Scaled(scale=3.0, parameters=parameters).evaluate(p)
-                    for p in profiles
-                ]
-                assert observed.reports(index) == expected, index
-
     def test_off_fast_path_falls_back_to_oracle(self, single_chip):
         profiles = single_chip[:2]
         with use_fast_path(False):

@@ -312,8 +312,9 @@ class TestPackedRowPipeline:
             assert entry["columns"] == list(ROW_COLUMNS)
             assert all(len(row) == len(ROW_COLUMNS) for row in entry["values"])
 
-    def test_legacy_dict_row_entries_still_readable(self, small_spec, tmp_path):
-        """A disk cache written by the previous (dict-per-row) format."""
+    def test_legacy_dict_row_entries_are_misses(self, small_spec, tmp_path):
+        """Row entries in the retired dict-per-row format are cache
+        misses, recomputed to the same table."""
         import json
 
         path = tmp_path / "cache.json"
@@ -326,9 +327,10 @@ class TestPackedRowPipeline:
                     dict(zip(value["columns"], row)) for row in value["values"]
                 ]
         path.write_text(json.dumps(payload))
-        NPUSimulator.reset_simulate_calls()
-        warm = run_sweep(small_spec, cache=SimulationCache(path))
-        assert NPUSimulator.simulate_calls == 0
+        cache = SimulationCache(path)
+        warm = run_sweep(small_spec, cache=cache)
+        assert cache.row_hits == 0
+        assert cache.row_misses == small_spec.num_points
         assert warm.to_csv() == cold.to_csv()
 
 
