@@ -828,8 +828,9 @@ def build_parser() -> argparse.ArgumentParser:
     launch.add_argument(
         "--backend", choices=("process", "thread", "ssh", "loopback"),
         default="process",
-        help="worker backend: one killable subprocess per shard attempt "
-             "(default), in-process threads, a fleet of SSH hosts, or the "
+        help="worker backend: one killable process per shard attempt, "
+             "forked by a warm fork server (default), in-process threads, "
+             "a fleet of SSH hosts, or the "
              "hermetic loopback fleet (remote code path, local processes)",
     )
     launch.add_argument(

@@ -51,7 +51,6 @@ host unreachable    heartbeat relay fails ``unreachable_after`` times
 from __future__ import annotations
 
 import logging
-import os
 import shlex
 import shutil
 import subprocess
@@ -64,12 +63,12 @@ from typing import IO, Any, Callable, Sequence
 
 from repro.experiments.scheduler import (
     EXIT_KILLED,
-    FAULT_ENV,
     DispatchContext,
     FaultInjector,
     LaunchError,
     RetryPolicy,
     WorkerHandle,
+    worker_env,
 )
 from repro.experiments.sharding import (
     MANIFEST_NAME,
@@ -349,16 +348,12 @@ class LocalLoopbackTransport:
         self, argv: Sequence[str], log: IO, pythonpath: str | None = None
     ) -> subprocess.Popen:
         self._op()
-        env = dict(os.environ)
-        env.pop(FAULT_ENV, None)  # faults travel by argv, as in ProcessBackend
-        package_root = pythonpath or str(Path(__file__).resolve().parents[2])
-        env["PYTHONPATH"] = os.pathsep.join(
-            [package_root]
-            + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
-        )
         try:
             process = subprocess.Popen(
-                list(argv), stdout=log, stderr=subprocess.STDOUT, env=env
+                list(argv),
+                stdout=log,
+                stderr=subprocess.STDOUT,
+                env=worker_env(pythonpath),
             )
         except OSError as error:
             raise TransportError(f"{self.name}: spawn failed: {error}") from error
@@ -844,25 +839,19 @@ class RemoteBackend:
         artifact_remote: str,
         heartbeat_remote: str,
     ) -> list[str]:
-        argv = [
+        # A shared on-disk cache only makes sense when the "remote" host
+        # really shares our filesystem (loopback).
+        return [
             self.python,
             "-m",
             "repro.experiments.worker",
-            "--spec", transport.resolve(self.spec_remote(ctx)),
-            "--index", str(ctx.shard_index),
-            "--count", str(ctx.shard_count),
-            "--staging", transport.resolve(artifact_remote),
-            "--heartbeat", transport.resolve(heartbeat_remote),
-            "--interval", str(ctx.heartbeat_interval),
-            "--attempt", str(ctx.attempt),
+            *ctx.worker_args(
+                spec=transport.resolve(self.spec_remote(ctx)),
+                staging=transport.resolve(artifact_remote),
+                heartbeat=transport.resolve(heartbeat_remote),
+                shared_cache=getattr(transport, "local_fs", False),
+            ),
         ]
-        if ctx.shared_cache and getattr(transport, "local_fs", False):
-            # A shared on-disk cache only makes sense when the "remote"
-            # host really shares our filesystem (loopback).
-            argv += ["--shared-cache", str(ctx.shared_cache)]
-        if ctx.fault_text:
-            argv += ["--fault-spec", ctx.fault_text]
-        return argv
 
 
 def parse_hosts(text: str) -> list[str]:

@@ -8,9 +8,10 @@ This module is the orchestration layer on top of that substrate.
 
 :class:`LaunchScheduler` takes a :class:`~repro.experiments.spec.SweepSpec`
 and a shard count, dispatches shards to a pluggable **worker backend**
-(:class:`ThreadBackend` in-process, :class:`ProcessBackend` one
-subprocess per shard so a worker can be SIGKILLed without taking the
-scheduler down), and drives every shard through a typed lifecycle::
+(:class:`ThreadBackend` in-process, :class:`ProcessBackend` one forked
+child of a warm fork server per attempt, so a worker can be SIGKILLed
+without taking the scheduler down), and drives every shard through a
+typed lifecycle::
 
     PENDING ──dispatch──▶ RUNNING ──artifact validated──▶ LANDED
                              │
@@ -34,10 +35,13 @@ Robustness mechanisms, each independently switchable:
   is speculatively re-issued; the first attempt to land an artifact
   wins.  Safe because every attempt writes to its own staging directory
   and shard artifacts are deterministic — the merge is idempotent.
-* **Incremental streaming re-merge**: landed artifacts are merged into
-  a running partial artifact (``merged.repro-shard``) as they arrive,
+* **Streaming merge, published once**: landed artifacts are folded
+  into an in-memory merge as they arrive (what ``/status`` reports),
   reusing :func:`~repro.experiments.sharding.merge_artifacts`'
-  associativity — a killed run leaves a usable partial merge behind.
+  associativity, and ``merged.repro-shard`` is written once when the
+  run ends, complete or partial.  A killed run leaves its landed shard
+  artifacts under ``shards/``, which ``--resume`` restores and
+  ``repro merge-shards`` merges.
 * **Crash-safe journal** (``journal.jsonl``): every lifecycle event is
   appended as one fsync'd JSON line.  The reader tolerates a torn tail
   (a line cut short by a crash is skipped), so
@@ -70,7 +74,9 @@ import logging
 import os
 import pickle
 import random
+import select
 import shutil
+import signal
 import subprocess
 import sys
 import threading
@@ -78,7 +84,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, IO, Mapping
+from typing import Any, Mapping
 
 from repro import __version__
 from repro.experiments.cache import SharedCacheDir, SimulationCache
@@ -110,9 +116,16 @@ EXIT_PARTIAL = 3
 EXIT_INJECTED_CRASH = 70
 #: Worker exit code when an injected hang was interrupted by a kill.
 EXIT_KILLED = 71
+#: Attempt exit code when the fork server died with the attempt in
+#: flight, or could not start it (cause ``fork-server``).
+EXIT_FORK_SERVER_LOST = 74
 
 #: Environment variable holding the fault-injection spec.
 FAULT_ENV = "REPRO_FAULT_SPEC"
+
+#: ``python -m repro.experiments.worker FORK_SERVER_FLAG`` runs the
+#: process backend's fork server instead of one attempt.
+FORK_SERVER_FLAG = "--fork-server"
 
 SPEC_FILENAME = "spec.pkl"
 JOURNAL_FILENAME = "journal.jsonl"
@@ -491,10 +504,10 @@ def execute_shard_attempt(
     """One worker attempt: heartbeat, (injected faults,) run, write.
 
     The single worker body shared by :class:`ThreadBackend` (in-process)
-    and :mod:`repro.experiments.worker` (subprocess).  Returns a worker
-    exit code; ``hard_crash`` makes an injected crash ``os._exit`` so
-    the subprocess dies without running any cleanup — the closest
-    portable stand-in for a segfault.
+    and :mod:`repro.experiments.worker` (a forked or remote process).
+    Returns a worker exit code; ``hard_crash`` makes an injected crash
+    ``os._exit`` so the process dies without running any cleanup — the
+    closest portable stand-in for a segfault.
     """
     stop_event = stop_event if stop_event is not None else threading.Event()
     heartbeat = _HeartbeatWriter(heartbeat_path, heartbeat_interval)
@@ -552,6 +565,50 @@ class DispatchContext:
     shared_cache: str | None
     fault_text: str | None
     speculative: bool
+
+    def worker_args(
+        self,
+        *,
+        spec: str | None = None,
+        staging: str | None = None,
+        heartbeat: str | None = None,
+        shared_cache: bool = True,
+    ) -> list[str]:
+        """Arguments of ``python -m repro.experiments.worker`` for this
+        attempt.  Paths default to the local ones; a remote backend
+        passes the host's paths and drops the shared cache unless the
+        host shares this filesystem."""
+        args = [
+            "--spec", spec or str(self.spec_path),
+            "--index", str(self.shard_index),
+            "--count", str(self.shard_count),
+            "--staging", staging or str(self.staging_path),
+            "--heartbeat", heartbeat or str(self.heartbeat_path),
+            "--interval", str(self.heartbeat_interval),
+            "--attempt", str(self.attempt),
+        ]
+        if shared_cache and self.shared_cache:
+            args += ["--shared-cache", str(self.shared_cache)]
+        if self.fault_text:
+            args += ["--fault-spec", self.fault_text]
+        return args
+
+
+def worker_env(pythonpath: str | None = None) -> dict[str, str]:
+    """Environment of a local worker process.
+
+    This package goes first on ``PYTHONPATH``.  The fault spec is
+    dropped: faults travel by argv (attempt-numbered, scheduler-owned)
+    and must never apply twice inside the worker.
+    """
+    env = dict(os.environ)
+    env.pop(FAULT_ENV, None)
+    package_root = pythonpath or str(Path(__file__).resolve().parents[2])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_root]
+        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    return env
 
 
 class WorkerHandle:
@@ -616,29 +673,158 @@ class _ThreadWorkerHandle(WorkerHandle):
         self._stop.set()
 
 
-class _ProcessWorkerHandle(WorkerHandle):
-    def __init__(self, ctx: DispatchContext, process: subprocess.Popen, log: IO):
+class _ForkServer:
+    """The scheduler's end of one ``repro.experiments.worker --fork-server``.
+
+    Requests go down the server's stdin and events come back on its
+    stdout (the protocol is in :mod:`repro.experiments.worker`).  The
+    server leads its own session, so the attempts it forks share its
+    process group: if the server dies, one ``killpg`` ends the orphans.
+    """
+
+    #: Seconds to wait for a request's reply, server start-up included.
+    REPLY_TIMEOUT_S = 60.0
+
+    def __init__(self) -> None:
+        self.process = subprocess.Popen(
+            [sys.executable, "-m", "repro.experiments.worker", FORK_SERVER_FLAG],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            env=worker_env(),
+            start_new_session=True,
+        )
+        self.alive = True
+        self.pids: dict[int, int] = {}
+        self.exits: dict[int, int] = {}
+        self.errors: dict[int, str] = {}
+        #: An exit or error event arrived since the last :meth:`wait`.
+        self.news = False
+        self._pending = b""
+        self._next_id = 0
+
+    def _send(self, request: dict[str, Any]) -> None:
+        if not self.alive:
+            return
+        try:
+            self.process.stdin.write(json.dumps(request).encode() + b"\n")
+            self.process.stdin.flush()
+        except OSError:
+            self._lost()
+
+    def start(self, argv: list[str], log: Path) -> int:
+        """Fork one attempt; returns its request id once the server has
+        answered (``pids`` or ``errors`` then holds the answer, unless
+        the server died)."""
+        ident = self._next_id
+        self._next_id += 1
+        self._send({"op": "run", "id": ident, "argv": argv, "log": str(log)})
+        deadline = time.monotonic() + self.REPLY_TIMEOUT_S
+        while self.alive and ident not in self.pids and ident not in self.errors:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                _LOG.error("fork server gave no reply in %.0fs", self.REPLY_TIMEOUT_S)
+                self._lost()
+                break
+            self.pump(remaining)
+        return ident
+
+    def kill(self, ident: int) -> None:
+        self._send({"op": "kill", "id": ident})
+
+    def pump(self, timeout: float = 0.0) -> None:
+        """Read the events that arrive within ``timeout`` seconds."""
+        if not self.alive:
+            return
+        fd = self.process.stdout.fileno()
+        if not select.select([fd], [], [], timeout)[0]:
+            return
+        chunk = os.read(fd, 1 << 16)
+        if not chunk:
+            self._lost()
+            return
+        *lines, self._pending = (self._pending + chunk).split(b"\n")
+        for line in lines:
+            try:
+                event = json.loads(line)
+                ident = int(event["id"])
+                if "pid" in event:
+                    self.pids[ident] = event["pid"]
+                elif "exit" in event:
+                    self.exits[ident] = event["exit"]
+                    self.news = True
+                else:
+                    self.errors[ident] = f"{event['error']}: {event['detail']}"
+                    self.news = True
+            except (ValueError, TypeError, KeyError):
+                _LOG.error("unexpected fork server event: %r", line)
+
+    def _lost(self) -> None:
+        _LOG.warning("fork server %d lost", self.process.pid)
+        self.close()
+
+    def close(self) -> None:
+        """Stop the server and reap it, leaving no attempt running.
+
+        Closing stdin asks the server to SIGKILL and reap its in-flight
+        attempts, then exit.  The server is waited for *without* being
+        reaped, so its pid, and so its process-group id, stays reserved
+        while the group gets a final SIGKILL.  That ends the attempts of
+        a server that died before it could clean up.
+        """
+        if self.process.returncode is not None:
+            return  # already reaped: the group id may belong to others now
+        self.alive = False
+        for pipe in (self.process.stdin, self.process.stdout):
+            try:
+                pipe.close()
+            except OSError:
+                pass
+        pid = self.process.pid
+        deadline = time.monotonic() + 10.0
+        while hasattr(os, "waitid") and time.monotonic() < deadline:
+            if os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT):
+                break
+            time.sleep(0.005)
+        try:
+            os.killpg(pid, signal.SIGKILL)
+        except (ProcessLookupError, PermissionError):
+            pass
+        self.process.wait()
+
+
+class _ForkedWorkerHandle(WorkerHandle):
+    """One attempt forked by the fork server."""
+
+    def __init__(self, ctx: DispatchContext, server: _ForkServer):
         super().__init__(ctx)
-        self._process = process
-        self._log = log
-        self.pid = process.pid
+        self.failure_cause: str | None = None
+        self.failure_detail: str | None = None
+        self._server = server
+        self._id = server.start(ctx.worker_args(), ctx.log_path)
+        self.pid = server.pids.pop(self._id, None)
+        self._code: int | None = None
 
     def poll(self) -> int | None:
-        code = self._process.poll()
-        if code is not None and self._log is not None:
-            self._log.close()
-            self._log = None
-        return code
+        if self._code is None:
+            server = self._server
+            server.pump()
+            if self._id in server.exits:
+                self._code = server.exits.pop(self._id)
+            elif self._id in server.errors or not server.alive:
+                self.failure_cause = "fork-server"
+                self.failure_detail = server.errors.pop(
+                    self._id, "fork server died with the attempt in flight"
+                )
+                self._code = EXIT_FORK_SERVER_LOST
+        return self._code
 
     def kill(self) -> None:
-        try:
-            self._process.kill()
-            self._process.wait(timeout=10)
-        except (OSError, subprocess.TimeoutExpired):
-            pass
-        if self._log is not None:
-            self._log.close()
-            self._log = None
+        if self.poll() is not None:
+            return
+        self._server.kill(self._id)
+        deadline = time.monotonic() + 10.0
+        while self.poll() is None and time.monotonic() < deadline:
+            self._server.pump(max(0.0, deadline - time.monotonic()))
 
 
 class ThreadBackend:
@@ -660,47 +846,54 @@ class ThreadBackend:
 
 
 class ProcessBackend:
-    """Runs each shard attempt as ``python -m repro.experiments.worker``.
+    """Runs each shard attempt as a child of one warm fork server.
 
-    Full fault isolation: a worker can crash, leak, or be SIGKILLed
-    without touching the scheduler, and the scheduler's kill is a real
-    ``SIGKILL``.  Worker stdout/stderr go to per-attempt log files
-    under ``logs/``.
+    The first dispatch starts ``python -m repro.experiments.worker
+    --fork-server``, which imports the worker stack once and then forks
+    one child per attempt.  So a launch pays one interpreter start and
+    one import, not one per attempt, and keeps full fault isolation:
+    an attempt can crash, leak, or be SIGKILLed without touching the
+    scheduler, and the scheduler's kill is a real ``SIGKILL``.  Each
+    child starts from the cold state a fresh interpreter has, so
+    artifacts are byte-identical.  Worker stdout/stderr go to
+    per-attempt log files under ``logs/``.
+
+    If the server dies, its in-flight attempts fail with cause
+    ``fork-server`` and retry normally; the next dispatch starts a new
+    server.  :meth:`close` (the scheduler calls it when :meth:`run
+    <LaunchScheduler.run>` ends, on every path) stops the server and
+    every attempt still running.  :meth:`wait` lets the scheduler sleep
+    on the server's event pipe, so a finished attempt is reaped as soon
+    as it exits.  The ssh and loopback backends still run the worker
+    CLI once per attempt over their transport.
     """
 
     name = "process"
 
+    def __init__(self) -> None:
+        self._server: _ForkServer | None = None
+
     def dispatch(self, ctx: DispatchContext) -> WorkerHandle:
-        argv = [
-            sys.executable,
-            "-m",
-            "repro.experiments.worker",
-            "--spec", str(ctx.spec_path),
-            "--index", str(ctx.shard_index),
-            "--count", str(ctx.shard_count),
-            "--staging", str(ctx.staging_path),
-            "--heartbeat", str(ctx.heartbeat_path),
-            "--interval", str(ctx.heartbeat_interval),
-            "--attempt", str(ctx.attempt),
-        ]
-        if ctx.shared_cache:
-            argv += ["--shared-cache", str(ctx.shared_cache)]
-        if ctx.fault_text:
-            argv += ["--fault-spec", ctx.fault_text]
-        env = dict(os.environ)
-        # Faults travel by argv (attempt-numbered, scheduler-owned);
-        # never let the env spec double-apply inside the worker.
-        env.pop(FAULT_ENV, None)
-        package_root = str(Path(__file__).resolve().parents[2])
-        env["PYTHONPATH"] = os.pathsep.join(
-            [package_root] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
-        )
+        if self._server is None or not self._server.alive:
+            self._server = _ForkServer()
         ctx.log_path.parent.mkdir(parents=True, exist_ok=True)
-        log = open(ctx.log_path, "ab")
-        process = subprocess.Popen(
-            argv, stdout=log, stderr=subprocess.STDOUT, env=env
-        )
-        return _ProcessWorkerHandle(ctx, process, log)
+        return _ForkedWorkerHandle(ctx, self._server)
+
+    def wait(self, timeout: float) -> None:
+        """Return when the server has news (an attempt exited, or the
+        server died) or after ``timeout`` seconds."""
+        server = self._server
+        if server is None or not server.alive:
+            time.sleep(timeout)
+            return
+        if not server.news:
+            server.pump(timeout)
+        server.news = False
+
+    def close(self) -> None:
+        if self._server is not None:
+            self._server.close()
+            self._server = None
 
 
 BACKENDS = {"thread": ThreadBackend, "process": ProcessBackend}
@@ -804,15 +997,18 @@ class LaunchScheduler:
         The launch directory.  Everything the run needs to survive a
         scheduler crash lives here: ``spec.pkl``, ``journal.jsonl``,
         ``shards/`` (landed artifacts), ``staging/`` (per-attempt
-        scratch), ``heartbeats/``, ``logs/`` and the incrementally
-        updated ``merged.repro-shard``.
+        scratch), ``heartbeats/``, ``logs/`` and, once the run ends,
+        ``merged.repro-shard``.
     spec, shard_count:
         The grid and its partition.  Optional with ``resume=True`` —
         both are then restored from the launch directory (and verified
         against it when given).
     backend:
-        ``"process"`` (default; one killable subprocess per attempt) or
-        ``"thread"``, or a backend instance with a ``dispatch`` method.
+        ``"process"`` (default; one killable forked child of a warm fork
+        server per attempt) or ``"thread"``, or a backend instance with a
+        ``dispatch`` method (and optionally ``wait(timeout)`` to end the
+        scheduler's wait early, and ``close()``, which :meth:`run` calls
+        however it ends).
     max_workers:
         Concurrent attempts (default: ``min(shard_count, cpu_count, 8)``).
     retry, heartbeat_interval, heartbeat_timeout, shard_timeout:
@@ -1122,16 +1318,16 @@ class LaunchScheduler:
         return artifact
 
     def _merge_in(self, artifact: ShardArtifact) -> None:
-        """Incremental streaming re-merge: fold one landed artifact into
-        the running partial merge and republish ``merged.repro-shard``.
-        Associativity of :func:`merge_artifacts` makes the left fold
-        equal to the one-shot merge of everything at the end."""
+        """Fold one landed artifact into the running in-memory merge
+        (what ``/status`` reports).  Associativity of
+        :func:`merge_artifacts` makes the left fold equal to the
+        one-shot merge of everything; :meth:`_finalize` publishes it
+        as ``merged.repro-shard`` once."""
         self._merged = (
             artifact
             if self._merged is None
             else merge_artifacts([self._merged, artifact])
         )
-        self._merged.write(self.merged_path)
 
     def _register_artifact(self, path: Path, kind: str | None = None) -> None:
         """Index one promoted artifact in the cross-run catalog.
@@ -1596,9 +1792,11 @@ class LaunchScheduler:
             tmp.write_text(json.dumps(report_payload, indent=2))
             os.replace(tmp, failure_report_path)
         csv_path = None
-        if self._merged is not None and self.csv_path is not None:
-            self._merged.result().write_csv(self.csv_path)
-            csv_path = self.csv_path
+        if self._merged is not None:
+            self._merged.write(self.merged_path)
+            if self.csv_path is not None:
+                self._merged.result().write_csv(self.csv_path)
+                csv_path = self.csv_path
         if self._merged is not None and not failed:
             # A complete merge is itself a reusable content-addressed
             # artifact (its shard key covers the full index union).
@@ -1737,12 +1935,27 @@ class LaunchScheduler:
                 if any(
                     not task.state.terminal for task in self._tasks.values()
                 ):
-                    time.sleep(self.poll_interval)
-            self._reap()  # collect any attempt finished during the last sleep
+                    self._wait()
+            self._reap()  # collect any attempt finished during the last wait
             return self._finalize(started)
         finally:
+            # Complete, partial or raising: no worker outlives the run.
+            close = getattr(self.backend, "close", None)
+            if close is not None:
+                close()
             if self.status_server is not None:
                 self.status_server.close()
+
+    def _wait(self) -> None:
+        """Wait for the next scheduler tick.  A backend with an event
+        pipe (``wait``) ends the wait as soon as an attempt exits; the
+        others sleep.  Either way liveness and speculation checks run
+        at least every ``poll_interval``."""
+        wait = getattr(self.backend, "wait", None)
+        if wait is None:
+            time.sleep(self.poll_interval)
+        else:
+            wait(self.poll_interval)
 
 
 def launch_sweep(
@@ -1758,6 +1971,7 @@ def launch_sweep(
 __all__ = [
     "BACKENDS",
     "EXIT_COMPLETE",
+    "EXIT_FORK_SERVER_LOST",
     "EXIT_INJECTED_CRASH",
     "EXIT_KILLED",
     "EXIT_PARTIAL",
@@ -1774,4 +1988,5 @@ __all__ = [
     "ThreadBackend",
     "execute_shard_attempt",
     "launch_sweep",
+    "worker_env",
 ]

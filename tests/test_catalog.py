@@ -81,6 +81,16 @@ def fast_scheduler(directory, **overrides) -> LaunchScheduler:
     return LaunchScheduler(directory, SPEC, SHARDS, **options)
 
 
+def shard_victim(catalog: ExperimentCatalog):
+    """A landed shard entry that has a column file to corrupt.
+
+    The 2-point grid over 3 shards has an empty shard with no column
+    file, and it may be the first to register."""
+    return next(
+        entry for entry in catalog.query(kind="shard") if NUMERIC_NAME in entry.files
+    )
+
+
 def journal_events(directory, kind):
     events = Journal.read_events(directory / "journal-archive.jsonl")
     events += Journal.read_events(directory / "journal.jsonl")
@@ -153,7 +163,7 @@ class TestVerifyRepair:
 
     def test_corrupt_artifact_is_flagged_and_evicted(self, tmp_path):
         catalog = self._landed_catalog(tmp_path)
-        victim = catalog.query(kind="shard")[0]
+        victim = shard_victim(catalog)
         (victim.path / NUMERIC_NAME).write_bytes(b"\x00 rotted \x00")
         report = catalog.verify()
         assert [e.shard_key for e in report.corrupt] == [victim.shard_key]
@@ -178,7 +188,7 @@ class TestVerifyRepair:
         (manifest and bytes agree with each other) but no longer matches
         the digests recorded at registration."""
         catalog = self._landed_catalog(tmp_path)
-        victim = catalog.query(kind="shard")[0]
+        victim = shard_victim(catalog)
         manifest = load_manifest(victim.path)
         tampered = dict(manifest)
         tampered["files"] = dict(manifest["files"])
@@ -232,7 +242,7 @@ class TestCrossRunAdoption:
         catalog_path = tmp_path / "cat.sqlite"
         fast_scheduler(tmp_path / "a", catalog=catalog_path).run()
         catalog = ExperimentCatalog(catalog_path)
-        victim = catalog.query(kind="shard")[0]
+        victim = shard_victim(catalog)
         (victim.path / NUMERIC_NAME).write_bytes(b"truncated")
         repair = catalog.repair()
         rerun = repair.rerun_shards()[victim.spec_digest]
@@ -255,7 +265,7 @@ class TestCrossRunAdoption:
         catalog_path = tmp_path / "cat.sqlite"
         fast_scheduler(tmp_path / "a", catalog=catalog_path).run()
         catalog = ExperimentCatalog(catalog_path)
-        victim = catalog.query(kind="shard")[0]
+        victim = shard_victim(catalog)
         (victim.path / NUMERIC_NAME).write_bytes(b"rot after registration")
         report = fast_scheduler(
             tmp_path / "b", catalog=catalog_path, csv_path=tmp_path / "b.csv"

@@ -20,6 +20,7 @@ import os
 import signal
 import subprocess
 import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -34,6 +35,7 @@ from repro.experiments import (
 from repro.experiments.cache import SharedCacheDir
 from repro.experiments.scheduler import (
     EXIT_COMPLETE,
+    EXIT_FORK_SERVER_LOST,
     EXIT_INJECTED_CRASH,
     EXIT_PARTIAL,
     FaultInjector,
@@ -201,7 +203,7 @@ class TestLaunchScenarios:
         assert report.landed == list(range(SHARDS)) and not report.failed
         assert report.dispatches == SHARDS
         assert_csv_identical(report, monolithic_csv)
-        # The incrementally re-merged partial artifact is the full merge.
+        # The merged artifact written at the end is the full merge.
         merged = ShardArtifact.read(report.merged_path)
         assert merged.shard_indices == tuple(range(SHARDS))
         # A clean exit compacts the journal: the per-shard event log is
@@ -313,6 +315,33 @@ class TestLaunchScenarios:
         completed = merge_shard_paths([report.merged_path, rerun_path])
         (tmp_path / "completed.csv").write_text(completed.result().to_csv())
         assert (tmp_path / "completed.csv").read_bytes() == monolithic_csv
+
+    @pytest.mark.parametrize("crash_shard", [None, 0])
+    def test_merged_artifact_is_written_once(
+        self, tmp_path, monkeypatch, crash_shard
+    ):
+        written = []
+        write = ShardArtifact.write
+
+        def recording_write(artifact, path, *args, **kwargs):
+            written.append(Path(path))
+            return write(artifact, path, *args, **kwargs)
+
+        monkeypatch.setattr(ShardArtifact, "write", recording_write)
+        injector = None
+        if crash_shard is not None:
+            # Shard 0 exhausts its one attempt: a partial run.
+            injector = FaultInjector(FaultSpec(crash=1.0))
+            injector.draw = lambda shard, attempt: (
+                "crash" if shard == crash_shard else None
+            )
+        report = fast_scheduler(
+            tmp_path / "run",
+            injector=injector,
+            retry=RetryPolicy(max_attempts=1, base_delay_s=0.01, jitter=0.0),
+        ).run()
+        assert report.complete is (crash_shard is None)
+        assert written.count(report.merged_path) == 1
 
     def test_straggler_speculation_first_artifact_wins(
         self, tmp_path, monolithic_csv
@@ -507,6 +536,168 @@ class TestProcessBackendAndResume:
         ]
         assert dispatches and dispatches[-1]["attempt"] == 4
         assert_csv_identical(report, monolithic_csv)
+
+
+# ---------------------------------------------------------------------- #
+# The process backend's fork server
+# ---------------------------------------------------------------------- #
+#: Runs in a fresh interpreter, so that no other test's children can
+#: show up: after each way ``run()`` can end, the scheduler process
+#: must have no child left, live or zombie.
+_NO_CHILD_SCRIPT = textwrap.dedent(
+    """
+    import os, sys
+    from repro.experiments import SweepSpec
+    from repro.experiments.scheduler import (
+        FaultInjector, FaultSpec, LaunchScheduler, RetryPolicy,
+    )
+
+    SPEC = SweepSpec(
+        workloads=("dlrm-s-inference",), chips=("NPU-C", "NPU-D"),
+        batch_sizes=(1,),
+    )
+
+    class Boom(RuntimeError):
+        pass
+
+    class RaiseOnLanding(LaunchScheduler):
+        def _land(self, *args):
+            raise Boom("scheduler bug")
+
+    def no_child():
+        try:
+            os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            return True
+        return False
+
+    def launch(cls, name, **kwargs):
+        return cls(
+            os.path.join(sys.argv[1], name), SPEC, 4, backend="process",
+            max_workers=4, poll_interval=0.01, speculate=False,
+            use_env_faults=False,
+            retry=RetryPolicy(max_attempts=1, base_delay_s=0.01, jitter=0.0),
+            **kwargs,
+        ).run()
+
+    complete = launch(LaunchScheduler, "complete")
+    print("complete", complete.exit_code, no_child())
+    partial = launch(
+        LaunchScheduler, "partial", injector=FaultInjector(FaultSpec(crash=1.0))
+    )
+    print("partial", partial.exit_code, no_child())
+    try:
+        launch(RaiseOnLanding, "raising")
+    except Boom:
+        print("raising", "raised", no_child())
+    """
+)
+
+
+class TestForkServer:
+    def test_a_launch_starts_one_interpreter(
+        self, tmp_path, monkeypatch, monolithic_csv
+    ):
+        spawned = []
+
+        class CountingPopen(subprocess.Popen):
+            def __init__(self, args, *rest, **kwargs):
+                spawned.append(args)
+                super().__init__(args, *rest, **kwargs)
+
+        monkeypatch.setattr(subprocess, "Popen", CountingPopen)
+        report = fast_scheduler(
+            tmp_path / "run",
+            backend="process",
+            shard_count=4,
+            csv_path=tmp_path / "out.csv",
+        ).run()
+        assert report.complete and report.dispatches == 4
+        assert len(spawned) == 1
+        assert_csv_identical(report, monolithic_csv)
+
+    def test_no_child_survives_run_on_any_path(self, tmp_path):
+        result = subprocess.run(
+            [sys.executable, "-c", _NO_CHILD_SCRIPT, str(tmp_path)],
+            env=_repro_env(),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split("\n")[:3] == [
+            f"complete {EXIT_COMPLETE} True",
+            f"partial {EXIT_PARTIAL} True",
+            "raising raised True",
+        ]
+
+    def test_injected_hard_crash_is_journalled_as_exit_70(
+        self, tmp_path, monolithic_csv
+    ):
+        report = fast_scheduler(
+            tmp_path / "run",
+            backend="process",
+            shard_count=2,
+            injector=FaultInjector(FaultSpec(crash=1.0, until=1)),
+            csv_path=tmp_path / "out.csv",
+        ).run()
+        assert report.complete and report.dispatches == 4
+        fails = journal_events(tmp_path / "run", "fail")
+        assert len(fails) == 2
+        for fail in fails:
+            assert fail["cause"] == "exit"
+            assert f"code {EXIT_INJECTED_CRASH}" in fail["reason"]
+        assert_csv_identical(report, monolithic_csv)
+
+    def test_sigkilled_server_is_restarted_and_attempts_retried(
+        self, tmp_path, monolithic_csv
+    ):
+        class KillServerOnce(ProcessBackend):
+            name = "kill-server"
+            killed = False
+
+            def dispatch(self, ctx):
+                handle = super().dispatch(ctx)
+                if not self.killed:
+                    self.killed = True
+                    os.kill(self._server.process.pid, signal.SIGKILL)
+                return handle
+
+        report = fast_scheduler(
+            tmp_path / "run",
+            backend=KillServerOnce(),
+            shard_count=2,
+            csv_path=tmp_path / "out.csv",
+        ).run()
+        assert report.complete
+        lost = [
+            fail
+            for fail in journal_events(tmp_path / "run", "fail")
+            if fail["cause"] == "fork-server"
+        ]
+        assert lost and report.dispatches == 2 + len(lost)
+        assert all(f"code {EXIT_FORK_SERVER_LOST}" in f["reason"] for f in lost)
+        assert_csv_identical(report, monolithic_csv)
+
+    def test_malformed_request_gets_a_typed_error_reply(self):
+        with subprocess.Popen(
+            [sys.executable, "-m", "repro.experiments.worker", "--fork-server"],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            env=_repro_env(),
+        ) as server:
+            server.stdin.write(b'not json\n{"op": "run", "id": 7}\n')
+            server.stdin.flush()
+            first = json.loads(server.stdout.readline())
+            second = json.loads(server.stdout.readline())
+            assert server.poll() is None  # still serving
+            server.stdin.close()
+            code = server.wait(timeout=30)
+        assert (first["id"], first["error"]) == (None, "bad-request")
+        assert "not JSON" in first["detail"]
+        assert (second["id"], second["error"]) == (7, "bad-request")
+        assert "argv" in second["detail"]
+        assert code == 0
 
 
 # ---------------------------------------------------------------------- #
