@@ -16,10 +16,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import re
 import weakref
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro import __version__
 from repro.core.config import SimulationConfig
@@ -48,19 +50,21 @@ CACHE_SCHEMA_VERSION = __version__
 #: requirement for the parallel runner and the on-disk cache.
 _DIGESTED_TYPES = (NPUChipSpec, GatingParameters)
 
-#: id(instance) -> digest dict, evicted by weakref.finalize when the
-#: instance is collected (before its id can be reused).
-_DIGEST_MEMO: dict[int, dict[str, str]] = {}
+#: id(instance) -> (digest dict, its canonical JSON text), evicted by
+#: weakref.finalize when the instance is collected (before its id can
+#: be reused).
+_DIGEST_MEMO: dict[int, tuple[dict[str, str], str]] = {}
 
 
-def _digested(value: Any) -> dict[str, str]:
+def _digested(value: Any) -> tuple[dict[str, str], str]:
     key = id(value)
     hit = _DIGEST_MEMO.get(key)
     if hit is None:
-        hit = {
+        digest = {
             "__type__": type(value).__name__,
             "__digest__": stable_hash(_canonical_dataclass(value)),
         }
+        hit = (digest, _dumps(digest))
         _DIGEST_MEMO[key] = hit
         weakref.finalize(value, _DIGEST_MEMO.pop, key, None)
     return hit
@@ -92,7 +96,7 @@ def canonical(value: Any) -> Any:
         # canonical form bit-faithful to the double.
         return repr(value)
     if isinstance(value, _DIGESTED_TYPES):
-        return _digested(value)
+        return _digested(value)[0]
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return _canonical_dataclass(value)
     if isinstance(value, dict):
@@ -104,10 +108,83 @@ def canonical(value: Any) -> Any:
     raise TypeError(f"cannot canonicalize {type(value).__name__!r} for hashing")
 
 
+def _dumps(value: Any) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _hash_text(payload: str) -> str:
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:KEY_HEX_CHARS]
+
+
 def stable_hash(value: Any) -> str:
     """Hex digest of the canonical JSON rendering of ``value``."""
-    payload = json.dumps(canonical(value), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:KEY_HEX_CHARS]
+    return _hash_text(_dumps(canonical(value)))
+
+
+#: (enum type, member) -> canonical JSON text of the member.
+_ENUM_JSON: dict[tuple[type, Enum], str] = {}
+
+
+def _canonical_json(value: Any) -> str:
+    """``_dumps(canonical(value))``, short-cut for the parts of a key.
+
+    Exact ``str``/``int``/``bool``/``float``/``None`` values, enum
+    members, tuples and lists of those, and the digested specs are
+    rendered directly; anything else takes the generic walk.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is float:
+        return f'"{value!r}"'
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool or value is None:
+        return "true" if value is True else "false" if value is False else "null"
+    if kind is tuple or kind is list:
+        return "[" + ",".join(map(_canonical_json, value)) + "]"
+    if isinstance(value, Enum):
+        text = _ENUM_JSON.get((kind, value))
+        if text is None:
+            text = _ENUM_JSON[kind, value] = _dumps(canonical(value))
+        return text
+    if isinstance(value, _DIGESTED_TYPES):
+        return _digested(value)[1]
+    return _dumps(canonical(value))
+
+
+class _KeyTemplate:
+    """The canonical JSON of one payload shape, with holes to splice into.
+
+    ``payload(*holes)`` builds the documented payload of a key.  The
+    template renders it once through the generic path (:func:`canonical`
+    + sorted-key :func:`json.dumps`) with a marker in every hole, so the
+    text between the holes (key order, separators, the fixed values) is
+    the oracle's own.  :meth:`hash` fills the holes with the canonical
+    JSON of the varying values and hashes the text exactly as
+    :func:`stable_hash` would hash ``payload(*values)``.
+    """
+
+    def __init__(self, payload: Callable[..., dict[str, Any]], holes: int):
+        markers = [f"\x00{index}\x00" for index in range(holes)]
+        pieces = re.split(
+            "(" + "|".join(re.escape(json.dumps(marker)) for marker in markers) + ")",
+            _dumps(canonical(payload(*markers))),
+        )
+        literals = pieces[0::2]
+        order = [markers.index(json.loads(marker)) for marker in pieces[1::2]]
+        if sorted(order) != list(range(holes)):
+            raise ValueError("every hole must appear exactly once in the payload")
+        self.payload = payload
+        self.head = literals[0]
+        self.tail = list(zip(order, literals[1:]))
+
+    def hash(self, *values: Any) -> str:
+        """Key of the payload with ``values`` in its holes."""
+        texts = list(map(_canonical_json, values))
+        return _hash_text(
+            self.head + "".join([texts[index] + literal for index, literal in self.tail])
+        )
 
 
 def file_digest(path: str | Path) -> str:
@@ -183,20 +260,32 @@ def profile_key(
     return cached
 
 
+def _report_payload(
+    version: Any, profile: Any, policy: Any, parameters: Any
+) -> dict[str, Any]:
+    return {
+        "kind": "report",
+        "version": version,
+        "profile": profile,
+        "policy": policy,
+        "parameters": parameters,
+    }
+
+
+_REPORT_KEY = _KeyTemplate(_report_payload, 4)
+
+
 def report_key(profile: str, policy: str, parameters: GatingParameters) -> str:
-    """Key of one policy's :class:`EnergyReport` on one profile."""
+    """Key of one policy's :class:`EnergyReport` on one profile.
+
+    ``stable_hash({"kind": "report", "version": CACHE_SCHEMA_VERSION,
+    "profile": profile, "policy": policy, "parameters": parameters})``,
+    rendered from a template (see :class:`_KeyTemplate`).
+    """
     memo_key = ("report", profile, policy, id(parameters))
     cached = _DOMAIN_KEY_MEMO.get(memo_key)
     if cached is None:
-        cached = stable_hash(
-            {
-                "kind": "report",
-                "version": CACHE_SCHEMA_VERSION,
-                "profile": profile,
-                "policy": policy,
-                "parameters": parameters,
-            }
-        )
+        cached = _REPORT_KEY.hash(CACHE_SCHEMA_VERSION, profile, policy, parameters)
         _remember_domain_key(parameters, memo_key, cached)
     return cached
 
@@ -226,21 +315,58 @@ def shard_key(
     )
 
 
+_CONFIG_FIELDS = tuple(field.name for field in dataclasses.fields(SimulationConfig))
+
+
+def _point_payload(version: Any, workload: Any, *config_fields: Any) -> dict[str, Any]:
+    # The canonical form of a SimulationConfig, field by field.
+    config = {"__type__": SimulationConfig.__name__}
+    config.update(zip(_CONFIG_FIELDS, config_fields))
+    return {
+        "kind": "point",
+        "version": version,
+        "workload": workload,
+        "config": config,
+    }
+
+
+_POINT_KEY = _KeyTemplate(_point_payload, 2 + len(_CONFIG_FIELDS))
+_LABELED_POINT_KEY = _KeyTemplate(
+    lambda point, label: {"point": point, "label": label}, 2
+)
+
+
 def point_key(workload: str, config: SimulationConfig) -> str:
     """Key of one fully-specified sweep point (workload + configuration).
 
-    The chip is resolved through the registry first so that
-    ``chip="NPU-D"`` and ``chip=get_chip("NPU-D")`` address the same
-    cache entry.
+    ``stable_hash({"kind": "point", "version": CACHE_SCHEMA_VERSION,
+    "workload": workload, "config": config})`` with ``config.chip``
+    resolved through the registry first, so that ``chip="NPU-D"`` and
+    ``chip=get_chip("NPU-D")`` address the same cache entry.
     """
-    return stable_hash(
-        {
-            "kind": "point",
-            "version": CACHE_SCHEMA_VERSION,
-            "workload": workload,
-            "config": dataclasses.replace(config, chip=config.resolve_chip()),
-        }
-    )
+    chip = config.resolve_chip()
+    if type(config) is not SimulationConfig:
+        # A subclass may add fields the template does not know.
+        return stable_hash(
+            {
+                "kind": "point",
+                "version": CACHE_SCHEMA_VERSION,
+                "workload": workload,
+                "config": dataclasses.replace(config, chip=chip),
+            }
+        )
+    fields = [getattr(config, name) for name in _CONFIG_FIELDS]
+    fields[_CONFIG_FIELDS.index("chip")] = chip
+    return _POINT_KEY.hash(CACHE_SCHEMA_VERSION, workload, *fields)
+
+
+def labeled_point_key(workload: str, config: SimulationConfig, label: str) -> str:
+    """Key of one labelled sweep point (the row cache's key).
+
+    ``stable_hash({"point": point_key(workload, config), "label":
+    label})``.
+    """
+    return _LABELED_POINT_KEY.hash(point_key(workload, config), label)
 
 
 __all__ = [
@@ -248,6 +374,7 @@ __all__ = [
     "KEY_HEX_CHARS",
     "canonical",
     "file_digest",
+    "labeled_point_key",
     "point_key",
     "profile_key",
     "report_key",

@@ -6,9 +6,8 @@ fixed column order and three interchangeable backing stores:
 * a **column store** — one array or list per column
   (:meth:`from_series`; shard merges feed this directly, with float
   columns that may be memory-mapped views into ``.repro-shard``
-  artifacts).  ``iter_csv``/``write_csv`` and ``filter`` operate
-  straight on the columns — no row tuple or dict is materialized, so a
-  merged million-row table streams to CSV with bounded resident memory;
+  artifacts).  ``filter`` operates straight on the columns, without
+  building a row tuple or dict;
 * a **packed store** — one value tuple per row (the runner's
   array-native assembly and the row cache feed this directly), with the
   row *dicts* of the legacy API materialized lazily on first access;
@@ -16,9 +15,12 @@ fixed column order and three interchangeable backing stores:
   (:meth:`from_rows`, and what ``group_by`` hands back).
 
 Either way the export (CSV/JSON) and reshaping (filter/group-by/pivot)
-helpers behave identically; :meth:`iter_csv` streams straight off the
-packed or column store without ever building a dict per row.  Floats
-are exported with ``repr`` so a CSV written by a parallel run is
+helpers behave identically.  All three stores write CSV through one
+renderer: :meth:`iter_csv` cuts the table into windows of rows,
+transposes each window to columns and renders a column at a time, so a
+merged million-row table goes to disk with resident memory bounded by
+one window.  Floats are exported with ``repr`` (numpy scalars first
+become Python scalars), so a CSV written by a parallel run is
 byte-identical to one written by a serial run of the same sweep.
 """
 
@@ -33,14 +35,84 @@ from typing import Any, Iterator, Mapping, Sequence
 import numpy as np
 
 
-def _cell(value: Any) -> Any:
-    if isinstance(value, float):
-        return repr(value)
-    return value
+#: Rows per rendering window of the CSV writer.  The window bounds the
+#: writer's resident memory: it holds one window of cell strings and
+#: the window's text at a time, whatever the table size.
+_CSV_WINDOW_ROWS = 1024
+
+#: Cell types whose equal values always render to the same text, so a
+#: window renders each distinct value once.
+_MEMO_TYPES = frozenset({str, int, bool, type(None)})
 
 
-#: Rows per rendering window when streaming CSV off the column store.
-_CSV_CHUNK_ROWS = 2048
+class _CsvRenderer:
+    """Column-at-a-time CSV rendering of row windows.
+
+    Every cell renders exactly as a per-row :func:`csv.writer` would
+    write it, after two normalizations: numpy scalars become Python
+    scalars (``.item()``), and floats are written with ``repr``.  Float
+    columns call ``repr`` once per distinct bit pattern, so ``-0.0``,
+    ``0.0`` and every NaN payload keep their own text.  Other cells go
+    through a one-cell :func:`csv.writer`, so quoting stays exactly the
+    csv module's; a column of ``str``/``int``/``bool``/``None`` cells
+    renders each distinct value once.
+    """
+
+    def __init__(self) -> None:
+        self._buffer = io.StringIO()
+        self._writer = csv.writer(self._buffer, lineterminator="\n")
+
+    def line(self, cells: Sequence[Any]) -> str:
+        """One row through the csv writer (the header)."""
+        self._writer.writerow(cells)
+        text = self._buffer.getvalue()
+        self._buffer.seek(0)
+        self._buffer.truncate(0)
+        return text
+
+    def _cell(self, value: Any) -> str:
+        """One non-float cell as written inside a multi-field row."""
+        return self.line((value, ""))[:-2]
+
+    @staticmethod
+    def _floats(values: np.ndarray) -> list[str]:
+        unique, inverse = np.unique(
+            values.astype(np.float64, copy=False).view(np.int64), return_inverse=True
+        )
+        texts = list(map(repr, unique.view(np.float64).tolist()))
+        return list(map(texts.__getitem__, inverse.tolist()))
+
+    def _objects(self, cells: Sequence[Any]) -> list[str]:
+        kinds = set(map(type, cells))
+        if any(issubclass(kind, np.generic) for kind in kinds):
+            cells = [cell.item() if isinstance(cell, np.generic) else cell for cell in cells]
+            kinds = set(map(type, cells))
+        if kinds == {float}:
+            return self._floats(np.array(cells, dtype=np.float64))
+        if kinds <= _MEMO_TYPES and not {bool, int} <= kinds:
+            # No two cells of these types compare equal unless their
+            # text is the same (only True == 1 and False == 0 could).
+            texts = {cell: self._cell(cell) for cell in set(cells)}
+            return list(map(texts.__getitem__, cells))
+        return [repr(cell) if isinstance(cell, float) else self._cell(cell) for cell in cells]
+
+    def window(self, columns: Sequence[Sequence[Any]]) -> str:
+        """CSV text of one window, given as one sequence per column."""
+        rendered = [
+            self._floats(column)
+            if isinstance(column, np.ndarray)
+            and column.dtype.kind == "f"
+            and column.dtype.itemsize <= 8
+            else self._objects(
+                column.tolist() if isinstance(column, np.ndarray) else column
+            )
+            for column in columns
+        ]
+        lines = list(map(",".join, zip(*rendered)))
+        if len(columns) == 1:
+            # The csv module quotes a record that is one empty field.
+            lines = [line or '""' for line in lines]
+        return "\n".join(lines) + "\n"
 
 
 class SweepResult:
@@ -116,8 +188,8 @@ class SweepResult:
         """Build a result from column arrays (one array/list per column).
 
         NumPy arrays are converted with ``tolist`` so every cell is a
-        plain Python scalar (``repr`` of a ``np.float64`` would not
-        round-trip the CSV identically).
+        plain Python scalar (the JSON export cannot encode numpy
+        scalars).
         """
         names = tuple(columns)
         series = [
@@ -283,64 +355,56 @@ class SweepResult:
         return table
 
     # ------------------------------------------------------------------ #
-    def iter_csv(self) -> Iterator[str]:
-        """Yield CSV lines (header first, trailing newline included).
+    def _column_windows(self, size: int) -> Iterator[list[Sequence[Any]]]:
+        """The table in windows of ``size`` rows, one sequence per column.
 
-        The generator renders one row at a time, so consumers that
-        stream the lines to a file or socket never hold more than one
-        rendered row in memory regardless of the grid size.  On the
-        packed store the cells are read positionally — no row dict is
-        ever materialized (zero-copy with respect to the dict API).
+        Array columns of the column store are only sliced, so
+        memory-mapped shard columns are paged in one window at a time;
+        packed rows are transposed with ``zip``.
         """
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-
-        def render(cells) -> str:
-            writer.writerow(cells)
-            line = buffer.getvalue()
-            buffer.seek(0)
-            buffer.truncate(0)
-            return line
-
-        yield render(self.columns)
+        count = len(self)
+        names = self.columns
         if self._rows is not None:
-            for row in self._rows:
-                yield render([_cell(row.get(column)) for column in self.columns])
+            rows = self._rows
+            for start in range(0, count, size):
+                window = rows[start : start + size]
+                yield [[row.get(name) for row in window] for name in names]
+        elif self._series is not None:
+            ordered = [self._series[name] for name in names]
+            for start in range(0, count, size):
+                yield [column[start : start + size] for column in ordered]
+        else:
+            values = self._values_list
+            for start in range(0, count, size):
+                yield list(zip(*values[start : start + size]))
+
+    def iter_csv(self) -> Iterator[str]:
+        """Yield the CSV text in chunks: the header, then row windows.
+
+        The first chunk is the header line; each later chunk holds the
+        lines of up to ``_CSV_WINDOW_ROWS`` rows (trailing newline
+        included).  Every store renders through the same column-wise
+        renderer (:class:`_CsvRenderer`), without building a row dict,
+        so resident memory stays bounded by one window.
+        """
+        renderer = _CsvRenderer()
+        yield renderer.line(self.columns)
+        if not self.columns:
+            yield "\n" * len(self)
             return
-        if self._series is not None:
-            # Column store: stream fixed-size chunks so array columns
-            # (possibly memory-mapped shard columns) are pulled in a
-            # bounded window at a time — resident memory stays O(chunk)
-            # regardless of the table size.
-            ordered = [self._series[name] for name in self.columns]
-            count = len(self)
-            for start in range(0, count, _CSV_CHUNK_ROWS):
-                stop = min(start + _CSV_CHUNK_ROWS, count)
-                chunk = [
-                    column[start:stop].tolist()
-                    if isinstance(column, np.ndarray)
-                    else column[start:stop]
-                    for column in ordered
-                ]
-                for row in zip(*chunk):
-                    yield render([_cell(value) for value in row])
-            return
-        for row in self._values_list:
-            yield render([_cell(value) for value in row])
+        for columns in self._column_windows(_CSV_WINDOW_ROWS):
+            yield renderer.window(columns)
 
     def write_csv(self, path: str | Path) -> int:
-        """Stream the table to ``path`` in O(1) memory; returns row count.
+        """Write the table to ``path`` one window at a time; returns rows.
 
         Unlike :meth:`to_csv`, the full CSV text is never materialized —
         use this for very large grids.  The bytes written are identical
         to what :meth:`to_csv` produces.
         """
-        lines = 0
         with Path(path).open("w", newline="") as handle:
-            for line in self.iter_csv():
-                handle.write(line)
-                lines += 1
-        return max(0, lines - 1)  # exclude the header
+            handle.writelines(self.iter_csv())
+        return len(self)
 
     def to_csv(self, path: str | Path | None = None) -> str:
         """Render as CSV (and write it to ``path`` when given)."""

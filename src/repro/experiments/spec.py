@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 from repro.core.config import SimulationConfig
 from repro.gating.bet import DEFAULT_PARAMETERS, GatingParameters
 from repro.gating.report import PolicyName
-from repro.experiments.keys import point_key, stable_hash
+from repro.experiments.keys import labeled_point_key
 
 #: Label attached to rows swept with the paper's default gating parameters.
 DEFAULT_GATING_LABEL = "default"
@@ -52,11 +52,8 @@ class SweepPoint:
         """
         cached = self.__dict__.get("_cache_key")
         if cached is None:
-            cached = stable_hash(
-                {
-                    "point": point_key(self.workload, self.config),
-                    "label": self.gating_label,
-                }
+            cached = labeled_point_key(
+                self.workload, self.config, self.gating_label
             )
             object.__setattr__(self, "_cache_key", cached)
         return cached
