@@ -4,10 +4,10 @@
 Runs a chips x workloads x policies grid through the cached sweep
 runner, then slices the result table a few ways.  Run with::
 
-    python examples/parameter_sweep.py [--parallel N] [--cache PATH]
+    python examples/parameter_sweep.py [--parallel N] [--cache DIR]
 
 A second invocation with ``--cache`` completes without re-simulating
-anything (the runner reads every row back from the JSON store).
+anything (the runner reads every row back from the cache directory).
 """
 
 import argparse
@@ -23,12 +23,12 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--parallel", type=int, default=None, metavar="N",
                         help="run grid points on N worker processes")
-    parser.add_argument("--cache", metavar="PATH",
-                        help="persist results to a JSON cache file")
+    parser.add_argument("--cache", metavar="DIR",
+                        help="persist results to a cache directory")
     args = parser.parse_args()
 
     spec = SweepSpec(workloads=WORKLOADS, chips=CHIPS)
-    cache = SimulationCache(args.cache) if args.cache else SimulationCache()
+    cache = SimulationCache(args.cache)
     result = SweepRunner(spec, cache=cache, max_workers=args.parallel).run()
     print(f"grid: {spec.describe()} -> {len(result)} rows")
     stats = cache.stats()

@@ -7,12 +7,12 @@ Usage::
     python -m repro simulate llama3-70b-prefill --chip NPU-D
     python -m repro simulate dlrm-m --chip NPU-E --num-chips 16 --policy ReGate-Full
     python -m repro sweep -w llama3-8b-prefill -w dlrm-s --chip NPU-C --chip NPU-D \
-        --parallel 4 --cache sweep-cache.json --csv sweep.csv
+        --parallel 4 --shared-cache sweep-cache --csv sweep.csv
 
 ``simulate`` is a thin wrapper over
 :func:`repro.core.regate.simulate_workload`; ``sweep`` drives the
 :mod:`repro.experiments` runner over a workload x chip x policy grid
-with optional multiprocessing and an on-disk result cache.
+with optional multiprocessing and an on-disk cache directory.
 """
 
 from __future__ import annotations
@@ -159,13 +159,13 @@ def _spec_from_args(args: argparse.Namespace):
 
 def _cmd_sweep(args: argparse.Namespace) -> str:
     from repro.experiments import ShardRunner, SimulationCache, SweepRunner
+    from repro.experiments.cache import CacheRootError
 
     spec = _spec_from_args(args)
-    cache = (
-        SimulationCache(args.cache, shared_dir=args.shared_cache)
-        if args.cache or args.shared_cache
-        else None
-    )
+    try:
+        cache = SimulationCache(args.shared_cache) if args.shared_cache else None
+    except CacheRootError as error:
+        raise SystemExit(f"error: {error}")
     lines = [f"sweep grid    : {spec.describe()}"]
     if args.shard_dir and not args.shard:
         raise SystemExit("--shard-dir requires --shard I/N")
@@ -190,12 +190,9 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
         lines.append(f"result rows   : {len(result)}")
     if cache is not None:
         stats = cache.stats()
-        store = ", ".join(
-            text for text in (args.cache, args.shared_cache) if text
-        )
         lines.append(
             f"cache         : {stats['row_hits']} hits / {stats['row_misses']} misses "
-            f"(sweep points; {store})"
+            f"(sweep points; {args.shared_cache})"
         )
     if args.csv:
         # Streamed row by row: very large grids export in O(1) memory.
@@ -353,6 +350,7 @@ def _launch_backend(args: argparse.Namespace, injector) -> object | str:
 
 
 def _cmd_launch(args: argparse.Namespace) -> str:
+    from repro.experiments.cache import CacheRootError
     from repro.experiments.scheduler import (
         FaultInjector,
         LaunchError,
@@ -396,7 +394,7 @@ def _cmd_launch(args: argparse.Namespace) -> str:
             catalog=args.catalog,
         )
         report = scheduler.run()
-    except (LaunchError, ShardError) as error:
+    except (CacheRootError, LaunchError, ShardError) as error:
         raise SystemExit(f"error: {error}")
     if not report.complete:
         # Print the summary ourselves, then exit with the partial code
@@ -421,9 +419,13 @@ def _cmd_launch_status(args: argparse.Namespace) -> str:
 
 
 def _cmd_cache_gc(args: argparse.Namespace) -> str:
-    from repro.experiments.cache import SharedCacheDir
+    from repro.experiments.cache import CacheRootError, SharedCacheDir
 
-    report = SharedCacheDir(args.dir).gc(
+    try:
+        shared = SharedCacheDir(args.dir)
+    except CacheRootError as error:
+        raise SystemExit(f"error: {error}")
+    report = shared.gc(
         max_age_days=args.max_age_days,
         max_bytes=args.max_bytes,
         dry_run=args.dry_run,
@@ -764,14 +766,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="run points on N worker processes (default: serial)",
     )
     sweep.add_argument(
-        "--cache", metavar="PATH",
-        help="JSON cache file; a warm cache skips all simulation",
-    )
-    sweep.add_argument(
-        "--shared-cache", metavar="DIR",
-        help="cross-run shared cache directory (one file per entry, atomic "
-             "renames); shards on a shared filesystem reuse each other's "
-             "simulated profiles",
+        "--shared-cache", "--cache", metavar="DIR",
+        help="cross-run cache directory (one file per entry, atomic "
+             "renames); a warm cache skips all simulation, and shards on a "
+             "shared filesystem reuse each other's simulated profiles",
     )
     sweep.add_argument(
         "--shard", metavar="I/N",

@@ -10,7 +10,8 @@ parallel parameter studies:
   or on a process pool, with bit-identical results either way.
 * :class:`SimulationCache` / :func:`simulate_cached` — content-addressed
   memoization of workload profiles, per-policy energy reports and
-  finished sweep rows, with an optional on-disk JSON store.
+  finished sweep rows, optionally written through to a
+  :class:`SharedCacheDir` on disk.
 * :class:`SweepResult` — a flat table with CSV/JSON export and
   filter/group-by/pivot helpers.
 * :class:`LaunchScheduler` / :func:`launch_sweep` — fault-tolerant
@@ -31,7 +32,6 @@ See ``docs/experiments.md`` for a guide and the cache-invalidation rules.
 
 from repro.experiments.cache import (
     CacheGcReport,
-    JsonFileStore,
     PackedRows,
     SharedCacheDir,
     SimulationCache,
@@ -65,7 +65,6 @@ from repro.experiments.runner import (
     assemble_packed_rows,
     rows_from_result,
     run_point,
-    run_points,
     run_points_packed,
     run_sweep,
 )
@@ -115,7 +114,6 @@ __all__ = [
     "FaultInjector",
     "FaultSpec",
     "HostPool",
-    "JsonFileStore",
     "LaunchError",
     "LaunchReport",
     "LaunchScheduler",
@@ -158,7 +156,6 @@ __all__ = [
     "resolve_catalog_path",
     "rows_from_result",
     "run_point",
-    "run_points",
     "run_points_packed",
     "run_sweep",
     "shard_key",

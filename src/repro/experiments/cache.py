@@ -4,19 +4,17 @@ Three artifact classes are cached, each under a stable key from
 :mod:`repro.experiments.keys`:
 
 * **Workload profiles** — the output of ``NPUSimulator.simulate``; the
-  most expensive artifact.  Profiles hold live operator graphs, so they
-  are memoized in memory — and, when a :class:`SharedCacheDir` is
-  attached, additionally pickled (in portable form) to a one-file-per-
-  entry store on a shared filesystem so concurrent shard runs reuse
-  each other's simulate misses.
-* **Energy reports** — one per (profile, policy, gating parameters);
-  JSON-serializable, kept in memory and optionally on disk.
+  most expensive artifact, pickled in portable form.
+* **Energy reports** — one per (profile, policy, gating parameters).
 * **Sweep rows** — the flat tables produced by
-  :class:`~repro.experiments.runner.SweepRunner`; JSON-serializable,
-  kept in memory and optionally on disk in *packed* form (one shared
-  column tuple plus one value tuple per row — see :data:`PackedRows`).
-  A warm row cache lets a repeated sweep complete without a single
-  simulator call.  Legacy dict-list disk entries are still readable.
+  :class:`~repro.experiments.runner.SweepRunner`, in *packed* form (one
+  shared column tuple plus one value tuple per row — see
+  :data:`PackedRows`); any other row payload on disk is a miss.  A warm
+  row cache lets a repeated sweep complete without a simulator call.
+
+Each layer is memoized in memory and, with a :class:`SharedCacheDir`
+attached, written through to its one-file-per-entry directory (the
+only on-disk format), so later and concurrent runs reuse its misses.
 
 :func:`simulate_cached` is a drop-in replacement for
 :func:`repro.core.regate.simulate_workload` that consults a
@@ -83,6 +81,25 @@ def unpack_rows(packed: PackedRows) -> list[dict[str, Any]]:
     return [dict(zip(columns, row)) for row in values]
 
 
+def decode_packed_rows(payload: Any) -> PackedRows | None:
+    """Decode a disk row entry, or ``None`` if it is not well formed:
+    anything but string columns and one value per column in every row
+    would mis-zip cells under the CSV header."""
+    if not isinstance(payload, dict):
+        return None
+    try:
+        columns = tuple(payload["columns"])
+        values = [tuple(row) for row in payload["values"]]
+    except (KeyError, TypeError, ValueError):
+        return None
+    width = len(columns)
+    if not all(isinstance(column, str) for column in columns) or any(
+        len(row) != width for row in values
+    ):
+        return None
+    return columns, values
+
+
 # ---------------------------------------------------------------------- #
 # Energy-report (de)serialization
 # ---------------------------------------------------------------------- #
@@ -113,17 +130,16 @@ def report_from_dict(payload: dict[str, Any]) -> EnergyReport:
 
 
 # ---------------------------------------------------------------------- #
-# Disk store
+# Cross-run shared cache directory
 # ---------------------------------------------------------------------- #
 def atomic_replace(path: str | Path, writer) -> None:
     """Write a file via temp name + ``os.replace`` (atomic publish).
 
     ``writer`` receives a binary file handle.  The single definition of
     the crash-consistent write used by every on-disk store in the tree
-    (:class:`JsonFileStore`, :class:`SharedCacheDir`, the shard-artifact
-    writer): readers racing a writer see either the complete old file or
-    the complete new one, never interleaved bytes, and a crashed writer
-    leaves only a ``*.tmp`` ghost behind.
+    (:class:`SharedCacheDir`, the shard-artifact writer): readers racing
+    a writer see either the complete old file or the complete new one,
+    never interleaved bytes, and a crashed writer leaves a ``*.tmp`` ghost.
     """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
@@ -136,69 +152,10 @@ def atomic_replace(path: str | Path, writer) -> None:
             os.unlink(tmp)
 
 
-class JsonFileStore:
-    """A ``{key: JSON value}`` mapping persisted to one JSON file.
-
-    Writes are atomic (temp file + rename) so a crashed sweep never
-    leaves a truncated cache behind; a corrupt or missing file simply
-    starts the store empty.
-    """
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._data: dict[str, Any] = {}
-        self._dirty = False
-        if self.path.exists():
-            try:
-                loaded = json.loads(self.path.read_text())
-                if isinstance(loaded, dict):
-                    self._data = loaded
-            except (OSError, json.JSONDecodeError):
-                self._data = {}
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._data
-
-    def get(self, key: str) -> Any:
-        return self._data.get(key)
-
-    def put(self, key: str, value: Any) -> None:
-        self._data[key] = value
-        self._dirty = True
-
-    def flush(self) -> None:
-        """Write the store back to disk if anything changed.
-
-        The on-disk file is re-read and merged first (our entries win),
-        so processes flushing to the same cache file one after another
-        accumulate entries instead of last-writer-wins dropping them.
-        The read-merge-replace is not locked: two *simultaneous* flushes
-        can still lose one side's unique entries (a silent re-simulation
-        later, never a wrong result — entries are content-addressed).
-        """
-        if not self._dirty:
-            return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        if self.path.exists():
-            try:
-                on_disk = json.loads(self.path.read_text())
-                if isinstance(on_disk, dict):
-                    self._data = {**on_disk, **self._data}
-            except (OSError, json.JSONDecodeError):
-                pass
-        atomic_replace(
-            self.path,
-            lambda handle: handle.write(json.dumps(self._data).encode("utf-8")),
-        )
-        self._dirty = False
+class CacheRootError(ValueError):
+    """A shared cache root that cannot hold the cache directory."""
 
 
-# ---------------------------------------------------------------------- #
-# Cross-run shared cache directory
-# ---------------------------------------------------------------------- #
 def portable_profile(profile: WorkloadProfile) -> WorkloadProfile:
     """A picklable deep-equivalent of ``profile``.
 
@@ -266,10 +223,16 @@ class SharedCacheDir:
     unparseable) entries are tallied in :attr:`corrupt_entries`, the
     first one logs a warning, and ``repro cache gc --dry-run`` surfaces
     the count (see :meth:`gc` with ``verify=True``).
+    A missing root is created on the first write; an existing
+    non-directory raises :class:`CacheRootError`, as no write could land.
     """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
+        if self.root.exists() and not self.root.is_dir():
+            raise CacheRootError(
+                f"shared cache root {self.root} exists and is not a directory"
+            )
         #: Entries found present-but-unreadable by this instance's reads
         #: (a missing file is an ordinary miss and is not counted).
         self.corrupt_entries = 0
@@ -319,6 +282,18 @@ class SharedCacheDir:
         except OSError:
             pass  # a read-only or full share degrades to "no sharing"
 
+    def get_rows(self, key: str) -> PackedRows | None:
+        """A packed row entry; a malformed one is a corrupt miss."""
+        payload = self.get_json("rows", key)
+        if payload is None:
+            return None
+        packed = decode_packed_rows(payload)
+        if packed is None:
+            self._note_corrupt(
+                self._path("rows", key, ".json"), ValueError("malformed row entry")
+            )
+        return packed
+
     # -- profile entries ------------------------------------------------ #
     def get_profile(self, key: str) -> WorkloadProfile | None:
         path = self._path("profiles", key, ".pkl")
@@ -351,7 +326,8 @@ class SharedCacheDir:
     def _entry_corrupt(self, path: Path) -> str | None:
         """Why this entry's bytes are unusable, or ``None`` if they parse.
 
-        JSON entries are fully parsed; pickles get a cheap structural
+        JSON entries are fully parsed (row entries also decoded, see
+        :func:`decode_packed_rows`); pickles get a cheap structural
         check (complete pickles end with the STOP opcode ``b"."``) —
         enough to catch the truncation a crashed writer's filesystem
         leaves behind, without unpickling anything.
@@ -362,9 +338,11 @@ class SharedCacheDir:
             return f"unreadable entry ({error})"
         if path.suffix == ".json":
             try:
-                json.loads(blob.decode("utf-8"))
+                payload = json.loads(blob.decode("utf-8"))
             except (UnicodeDecodeError, ValueError):
                 return "corrupt JSON entry"
+            if path.parent.name == "rows" and decode_packed_rows(payload) is None:
+                return "malformed row entry"
         elif path.suffix == ".pkl":
             if not blob.endswith(b"."):
                 return "truncated pickle entry"
@@ -471,24 +449,17 @@ class SimulationCache:
 
     Parameters
     ----------
-    path:
-        Optional JSON file backing the report and sweep-row layers.
-        Profiles are memory-only (they hold live graph objects) unless
-        ``shared_dir`` is given.
     shared_dir:
         Optional :class:`SharedCacheDir` root (or an instance).  All
         three layers — including *profiles*, the expensive simulate
         output — are then written through to one-file-per-entry stores
-        published by atomic rename, so concurrent shard runs on a
-        shared filesystem reuse each other's simulate misses across
-        processes, machines and runs.
+        published by atomic rename, so later runs and concurrent shard
+        runs on a shared filesystem reuse each other's misses across
+        processes, machines and runs.  Without it the cache is
+        memory-only.
     """
 
-    def __init__(
-        self,
-        path: str | Path | None = None,
-        shared_dir: str | Path | SharedCacheDir | None = None,
-    ):
+    def __init__(self, shared_dir: str | Path | SharedCacheDir | None = None):
         self._profiles: dict[str, WorkloadProfile] = {}
         self._reports: dict[str, EnergyReport] = {}
         # Reports held as zero-argument suppliers (grid cells priced by
@@ -496,7 +467,6 @@ class SimulationCache:
         # probe.  Memory-only — persistent layers always materialize.
         self._lazy_reports: dict[str, Callable[[], EnergyReport]] = {}
         self._rows: dict[str, PackedRows] = {}
-        self._store = JsonFileStore(path) if path is not None else None
         if shared_dir is not None and not isinstance(shared_dir, SharedCacheDir):
             shared_dir = SharedCacheDir(shared_dir)
         self._shared = shared_dir
@@ -545,11 +515,6 @@ class SimulationCache:
                 # so it enters the memory layer without a defensive copy.
                 report = supplier()
                 self._reports[key] = report
-        if report is None and self._store is not None:
-            payload = self._store.get("report:" + key)
-            if payload is not None:
-                report = report_from_dict(payload)
-                self._reports[key] = report
         if report is None and self._shared is not None:
             payload = self._shared.get_json("reports", key)
             if payload is not None:
@@ -566,8 +531,6 @@ class SimulationCache:
 
     def put_report(self, key: str, report: EnergyReport) -> None:
         self._reports[key] = self._copy_report(report)
-        if self._store is not None:
-            self._store.put("report:" + key, report_to_dict(report))
         if self._shared is not None:
             self._shared.put_json("reports", key, report_to_dict(report))
 
@@ -580,10 +543,10 @@ class SimulationCache:
         materialize it on the first :meth:`get_report` probe, so a
         sweep that never re-reads a cell (the common cold-run case)
         skips building and copying its per-report dicts entirely.
-        Persistent layers need the serializable payload now, so they
-        materialize immediately — identical observable semantics.
+        A shared directory needs the serializable payload now, so it
+        materializes immediately — identical observable semantics.
         """
-        if self._store is not None or self._shared is not None:
+        if self._shared is not None:
             self.put_report(key, supplier())
         else:
             self._lazy_reports[key] = supplier
@@ -592,23 +555,14 @@ class SimulationCache:
     # -- sweep rows ---------------------------------------------------- #
     # Rows live in the cache in *packed* form: one shared column tuple
     # plus one immutable value tuple per row.  The packed entries make
-    # both layers cheap — no ~40-key dict per row in memory or in the
-    # JSON store — and copying on the way out reduces to copying the
+    # both layers cheap — no ~40-key dict per row in memory or on
+    # disk — and copying on the way out reduces to copying the
     # outer list, so a caller mutating a returned SweepResult still
     # cannot poison the cache.
-    @staticmethod
-    def _freeze_packed(packed: PackedRows) -> PackedRows:
-        columns, values = packed
-        return tuple(columns), [tuple(row) for row in values]
-
     def get_rows_packed(self, key: str) -> PackedRows | None:
         packed = self._rows.get(key)
-        if packed is None and self._store is not None:
-            packed = self._decode_rows(self._store.get("rows:" + key))
-            if packed is not None:
-                self._rows[key] = packed
         if packed is None and self._shared is not None:
-            packed = self._decode_rows(self._shared.get_json("rows", key))
+            packed = self._shared.get_rows(key)
             if packed is not None:
                 self._rows[key] = packed
         self._count(packed is not None)
@@ -620,44 +574,14 @@ class SimulationCache:
         return columns, list(values)
 
     def put_rows_packed(self, key: str, packed: PackedRows) -> None:
-        packed = self._freeze_packed(packed)
-        self._rows[key] = packed
-        columns, values = packed
-        if self._store is not None:
-            self._store.put(
-                "rows:" + key, {"columns": list(columns), "values": values}
-            )
+        columns, values = tuple(packed[0]), [tuple(row) for row in packed[1]]
+        self._rows[key] = columns, values
         if self._shared is not None:
             self._shared.put_json(
                 "rows", key, {"columns": list(columns), "values": values}
             )
 
-    @classmethod
-    def _decode_rows(cls, payload: Any) -> PackedRows | None:
-        """Decode a disk row entry; anything but a packed dict is a miss."""
-        if not isinstance(payload, dict):
-            return None  # absent, foreign or corrupt payload
-        try:
-            return cls._freeze_packed((payload["columns"], payload["values"]))
-        except (KeyError, TypeError, ValueError):
-            return None
-
-    def get_rows(self, key: str) -> list[dict[str, Any]] | None:
-        """Row dicts of one sweep point (compatibility view)."""
-        packed = self.get_rows_packed(key)
-        if packed is None:
-            return None
-        return unpack_rows(packed)
-
-    def put_rows(self, key: str, rows: list[dict[str, Any]]) -> None:
-        self.put_rows_packed(key, pack_rows(rows))
-
     # ------------------------------------------------------------------ #
-    def flush(self) -> None:
-        """Persist the disk-backed layers (no-op for memory-only caches)."""
-        if self._store is not None:
-            self._store.flush()
-
     def stats(self) -> dict[str, int]:
         """Hit/miss counters and per-layer entry counts."""
         return {
@@ -1019,7 +943,7 @@ def simulate_cached_many(
 
 __all__ = [
     "CacheGcReport",
-    "JsonFileStore",
+    "CacheRootError",
     "PackedRows",
     "atomic_replace",
     "SharedCacheDir",

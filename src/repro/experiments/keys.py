@@ -36,7 +36,7 @@ KEY_HEX_CHARS = 32
 #: Stamped into every domain key.  The hash covers the *inputs* of a
 #: simulation, not the simulator code; tying keys to the release version
 #: at least invalidates on-disk caches across upgrades.  (Same-version
-#: source edits still require deleting the cache file — see
+#: source edits still require deleting the cache directory — see
 #: docs/experiments.md.)
 CACHE_SCHEMA_VERSION = __version__
 

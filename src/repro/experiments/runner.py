@@ -428,13 +428,6 @@ def run_points_packed(
     return [pack_rows(run_point(point, cache)) for point in points]
 
 
-def run_points(
-    points: list[SweepPoint], cache: SimulationCache | None = None
-) -> list[list[dict[str, Any]]]:
-    """Evaluate many sweep points into row dicts (compatibility view)."""
-    return [unpack_rows(packed) for packed in run_points_packed(points, cache)]
-
-
 # Per-worker-process cache: shares workload profiles between the points a
 # worker handles without any cross-process communication.
 _WORKER_CACHE: SimulationCache | None = None
@@ -465,7 +458,7 @@ class SweepRunner:
         Optional :class:`SimulationCache`.  Cached rows are returned
         without re-simulation (in serial *and* parallel mode: the row
         lookup happens before work is dispatched); freshly computed rows
-        are written back and flushed to the disk layer when present.
+        are written back (through to disk with a shared directory).
     max_workers:
         ``None``, ``0`` or ``1`` run serially; ``>= 2`` dispatches the
         uncached points to a :class:`ProcessPoolExecutor`.  If the pool
@@ -487,35 +480,22 @@ class SweepRunner:
     # ------------------------------------------------------------------ #
     def run(self) -> SweepResult:
         """Execute the sweep and return the assembled table."""
-        cache = self.resolve_cache()
-        packed_by_index = self.execute_points(self.spec.points(), cache)
-        cache.flush()
+        packed_by_index = self.execute_points(self.spec.points())
         return _combine_packed(
             [packed_by_index[index] for index in sorted(packed_by_index)]
         )
 
-    def resolve_cache(self) -> SimulationCache:
-        """The caller-supplied cache, or a run-scoped one.
-
-        With no caller-supplied cache, a run-scoped one still shares
-        workload profiles across grid points (e.g. gating-parameter
-        sweeps re-evaluate a single simulated profile); it just isn't
-        retained between runs.
-        """
-        return self.cache if self.cache is not None else SimulationCache()
-
-    def execute_points(
-        self, points: list[SweepPoint], cache: SimulationCache | None = None
-    ) -> dict[int, PackedRows]:
+    def execute_points(self, points: list[SweepPoint]) -> dict[int, PackedRows]:
         """Evaluate a point subset into ``{point.index: packed rows}``.
 
         The single execution pipeline behind :meth:`run` and the shard
         runner (:class:`~repro.experiments.sharding.ShardRunner`, which
         feeds it one shard's points): probe the row cache, batch the
         misses through the packed serial or pool path, write fresh rows
-        back.  The caller owns ``cache.flush()``.
+        back.  Without a caller-supplied cache, a run-scoped one still
+        shares workload profiles across the points.
         """
-        cache = cache if cache is not None else self.resolve_cache()
+        cache = self.cache if self.cache is not None else SimulationCache()
         packed_by_index: dict[int, PackedRows] = {}
         pending: list[SweepPoint] = []
         for point in points:
@@ -612,7 +592,6 @@ __all__ = [
     "pack_rows",
     "rows_from_result",
     "run_point",
-    "run_points",
     "run_points_packed",
     "run_sweep",
     "unpack_rows",

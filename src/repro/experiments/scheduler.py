@@ -1023,7 +1023,8 @@ class LaunchScheduler:
         the environment; pass ``injector=None, use_env_faults=False``
         to force clean runs).
     shared_cache, gc_max_age_days, gc_max_bytes:
-        Workers share a :class:`~repro.experiments.cache.SharedCacheDir`;
+        Workers share a :class:`~repro.experiments.cache.SharedCacheDir`
+        (a root that is not a directory raises ``CacheRootError`` here);
         teardown garbage-collects it when either GC knob is set.
     catalog:
         An :class:`~repro.experiments.catalog.ExperimentCatalog` (or its
@@ -1070,7 +1071,8 @@ class LaunchScheduler:
         self.speculation_threshold = speculation_threshold
         self.speculation_factor = speculation_factor
         self.poll_interval = poll_interval
-        self.shared_cache = Path(shared_cache) if shared_cache else None
+        # Validated once here (CacheRootError), not in every worker attempt.
+        self.shared_cache = SharedCacheDir(shared_cache).root if shared_cache else None
         self.gc_max_age_days = gc_max_age_days
         self.gc_max_bytes = gc_max_bytes
         self.resume = resume

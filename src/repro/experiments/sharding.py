@@ -687,9 +687,7 @@ class ShardRunner:
         runner = SweepRunner(
             self.plan.spec, cache=self.cache, max_workers=self.max_workers
         )
-        cache = runner.resolve_cache()
-        packed_by_index = runner.execute_points(points, cache)
-        cache.flush()
+        packed_by_index = runner.execute_points(points)
         blocks = [(point, packed_by_index[point.index]) for point in points]
         return ShardArtifact.from_blocks(shard, blocks)
 

@@ -85,17 +85,35 @@ class TestSweepCommand:
     def test_sweep_csv_export_and_warm_cache(self, capsys, tmp_path):
         from repro.simulator.engine import NPUSimulator
 
-        cache = str(tmp_path / "cache.json")
+        cache = str(tmp_path / "cache")
         cold_csv = str(tmp_path / "cold.csv")
         warm_csv = str(tmp_path / "warm.csv")
-        assert main([*self.GRID, "--cache", cache, "--csv", cold_csv]) == 0
+        # --cache is a second spelling of the one cache-directory option.
+        parser = build_parser()
+        assert parser.parse_args([*self.GRID, "--cache", cache]).shared_cache == cache
+        assert not hasattr(parser.parse_args(self.GRID), "cache")
+        assert main([*self.GRID, "--shared-cache", cache, "--csv", cold_csv]) == 0
         capsys.readouterr()
         NPUSimulator.reset_simulate_calls()
-        assert main([*self.GRID, "--cache", cache, "--csv", warm_csv]) == 0
-        assert "0 misses" in capsys.readouterr().out
+        assert main([*self.GRID, "--shared-cache", cache, "--csv", warm_csv]) == 0
+        assert " 0 misses " in capsys.readouterr().out
         assert NPUSimulator.simulate_calls == 0
         with open(cold_csv) as cold, open(warm_csv) as warm:
             assert cold.read() == warm.read()
+
+    @pytest.mark.parametrize("option", ["--cache", "--shared-cache"])
+    def test_sweep_refuses_a_cache_root_that_is_a_file(self, option, tmp_path):
+        """An old single-file JSON cache is refused before any simulation."""
+        from repro.simulator.engine import NPUSimulator
+
+        path = tmp_path / "sweep-cache.json"
+        path.write_text("{}")
+        NPUSimulator.reset_simulate_calls()
+        with pytest.raises(SystemExit, match="not a directory") as exit_info:
+            main([*self.GRID, option, str(path)])
+        assert "\n" not in str(exit_info.value)
+        assert NPUSimulator.simulate_calls == 0
+        assert path.read_text() == "{}"
 
     def test_sweep_parallel_matches_serial_csv(self, capsys, tmp_path):
         serial_csv = str(tmp_path / "serial.csv")

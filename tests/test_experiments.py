@@ -8,7 +8,6 @@ import pytest
 
 from repro.core.config import SimulationConfig
 from repro.experiments import (
-    JsonFileStore,
     SimulationCache,
     SweepSpec,
     canonical,
@@ -73,38 +72,6 @@ class TestReportSerialization:
         assert clone.gating_events == report.gating_events
         assert clone.peak_power_w == report.peak_power_w
         assert clone.total_time_s == report.total_time_s
-
-
-class TestJsonFileStore:
-    def test_persistence_roundtrip(self, tmp_path):
-        path = tmp_path / "store.json"
-        store = JsonFileStore(path)
-        store.put("a", {"x": 1.5})
-        store.flush()
-        reloaded = JsonFileStore(path)
-        assert "a" in reloaded and reloaded.get("a") == {"x": 1.5}
-
-    def test_corrupt_file_starts_empty(self, tmp_path):
-        path = tmp_path / "store.json"
-        path.write_text("{ not json")
-        assert len(JsonFileStore(path)) == 0
-
-    def test_flush_merges_concurrent_writers(self, tmp_path):
-        path = tmp_path / "store.json"
-        first = JsonFileStore(path)
-        second = JsonFileStore(path)
-        first.put("a", 1)
-        second.put("b", 2)
-        first.flush()
-        second.flush()  # must not drop the first writer's entry
-        reloaded = JsonFileStore(path)
-        assert reloaded.get("a") == 1 and reloaded.get("b") == 2
-
-    def test_flush_without_changes_is_noop(self, tmp_path):
-        path = tmp_path / "store.json"
-        store = JsonFileStore(path)
-        store.flush()
-        assert not path.exists()
 
 
 class TestSweepSpecNormalization:
@@ -254,24 +221,18 @@ class TestSimulateCached:
 
 class TestRowPayloads:
     """Disk row entries decode only from the packed dict form; anything
-    else (a list, a scalar, a dict without the packed keys) is a miss in
-    every layer, never an exception."""
+    else (a list, a scalar, a dict without the packed keys, non-string
+    columns, a row without one value per column) is a corrupt miss,
+    never an exception."""
 
     PACKED = {"columns": ["a", "b"], "values": [[1, 2.5], [3, 4.5]]}
-    FOREIGN = ([{"a": 1, "b": 2.5}], 7, {"columns": ["a"]})
-
-    def test_json_store_layer(self, tmp_path):
-        path = tmp_path / "cache.json"
-        store = JsonFileStore(path)
-        store.put("rows:good", self.PACKED)
-        for index, payload in enumerate(self.FOREIGN):
-            store.put(f"rows:bad{index}", payload)
-        store.flush()
-        cache = SimulationCache(path=path)
-        assert cache.get_rows_packed("good") == (("a", "b"), [(1, 2.5), (3, 4.5)])
-        for index in range(len(self.FOREIGN)):
-            assert cache.get_rows_packed(f"bad{index}") is None
-        assert cache.row_misses == len(self.FOREIGN)
+    FOREIGN = (
+        [{"a": 1, "b": 2.5}],
+        7,
+        {"columns": ["a"]},
+        {"columns": ["a", 2], "values": [[1, 2.5]]},
+        {"columns": ["a", "b"], "values": [[1, 2.5], [3]]},
+    )
 
     def test_shared_dir_layer(self, tmp_path):
         from repro.experiments.cache import SharedCacheDir
@@ -285,3 +246,31 @@ class TestRowPayloads:
         for index in range(len(self.FOREIGN)):
             assert cache.get_rows_packed(f"bad{index}") is None
         assert cache.row_misses == len(self.FOREIGN)
+        assert cache.stats()["shared_corrupt"] == len(self.FOREIGN)
+
+    def test_gc_verify_flags_malformed_row_entries(self, tmp_path):
+        from repro.experiments.cache import SharedCacheDir
+
+        shared = SharedCacheDir(tmp_path)
+        shared.put_json("rows", "good", self.PACKED)
+        shared.put_json("rows", "short", self.FOREIGN[-1])
+        report = shared.gc(dry_run=True, verify=True)
+        assert report.corrupt_files == 1
+        assert [(path.name, reason) for path, reason in report.removed] == [
+            ("short.json", "malformed row entry")
+        ]
+
+
+class TestCacheRoot:
+    """A cache root must be a directory or not exist yet: a regular file
+    would make every write fail silently and cache nothing."""
+
+    def test_existing_file_is_refused(self, tmp_path):
+        from repro.experiments.cache import CacheRootError, SharedCacheDir
+
+        path = tmp_path / "sweep-cache.json"
+        path.write_text("{}")
+        with pytest.raises(CacheRootError, match="not a directory"):
+            SharedCacheDir(path)
+        with pytest.raises(CacheRootError):
+            SimulationCache(shared_dir=path)

@@ -32,7 +32,7 @@ from repro.experiments import (
     SweepRunner,
     SweepSpec,
 )
-from repro.experiments.cache import SharedCacheDir
+from repro.experiments.cache import CacheRootError, SharedCacheDir
 from repro.experiments.scheduler import (
     EXIT_COMPLETE,
     EXIT_FORK_SERVER_LOST,
@@ -806,6 +806,33 @@ class TestCacheGc:
         assert code == 0
         assert "would remove 1" in capsys.readouterr().out
         assert (tmp_path / "rows" / "old.json").exists()
+
+    def test_cache_gc_cli_refuses_a_file(self, tmp_path):
+        from repro.cli import main
+
+        path = tmp_path / "sweep-cache.json"
+        path.write_text("{}")
+        with pytest.raises(SystemExit, match="not a directory"):
+            main(["cache", "gc", str(path), "--dry-run"])
+
+    def test_launch_refuses_a_cache_root_that_is_a_file(self, tmp_path):
+        """Checked once up front, before the launch directory exists —
+        not once per failed worker attempt."""
+        from repro.cli import main
+
+        path = tmp_path / "sweep-cache.json"
+        path.write_text("{}")
+        with pytest.raises(CacheRootError, match="not a directory"):
+            fast_scheduler(tmp_path / "run", shared_cache=path)
+        with pytest.raises(SystemExit, match="not a directory"):
+            main(
+                [
+                    "launch", "-w", "dlrm-s-inference", "--shards", "2",
+                    "--dir", str(tmp_path / "run"), "--backend", "thread",
+                    "--shared-cache", str(path),
+                ]
+            )
+        assert not (tmp_path / "run").exists()
 
 
 class TestLaunchCli:

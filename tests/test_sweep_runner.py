@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import (
@@ -64,13 +67,13 @@ class TestCaching:
         assert warm.to_csv() == cold.to_csv()
 
     def test_disk_cache_warms_a_fresh_process_equivalent(self, small_spec, tmp_path):
-        path = tmp_path / "cache.json"
-        cold = run_sweep(small_spec, cache=SimulationCache(path))
-        assert path.exists()
-        # A brand-new cache object backed by the same file models a new
-        # process; the rows must come back from disk without simulating.
+        root = tmp_path / "cache"
+        cold = run_sweep(small_spec, cache=SimulationCache(shared_dir=root))
+        assert (root / "rows").is_dir()
+        # A brand-new cache object backed by the same directory models a
+        # new process; the rows must come back from disk without simulating.
         NPUSimulator.reset_simulate_calls()
-        warm = run_sweep(small_spec, cache=SimulationCache(path))
+        warm = run_sweep(small_spec, cache=SimulationCache(shared_dir=root))
         assert NPUSimulator.simulate_calls == 0
         assert warm.to_csv() == cold.to_csv()
 
@@ -298,15 +301,12 @@ class TestPackedRowPipeline:
             assert unpack_rows(block) == oracle
 
     def test_disk_cache_stores_packed_rows(self, small_spec, tmp_path):
-        import json
-
-        path = tmp_path / "cache.json"
-        run_sweep(small_spec, cache=SimulationCache(path))
-        payload = json.loads(path.read_text())
+        root = tmp_path / "cache"
+        run_sweep(small_spec, cache=SimulationCache(shared_dir=root))
         row_entries = [
-            value for key, value in payload.items() if key.startswith("rows:")
+            json.loads(path.read_text()) for path in (root / "rows").glob("*.json")
         ]
-        assert row_entries
+        assert len(row_entries) == small_spec.num_points
         for entry in row_entries:
             assert set(entry) == {"columns", "values"}
             assert entry["columns"] == list(ROW_COLUMNS)
@@ -315,23 +315,92 @@ class TestPackedRowPipeline:
     def test_legacy_dict_row_entries_are_misses(self, small_spec, tmp_path):
         """Row entries in the retired dict-per-row format are cache
         misses, recomputed to the same table."""
-        import json
-
-        path = tmp_path / "cache.json"
-        cache = SimulationCache(path)
-        cold = run_sweep(small_spec, cache=cache)
-        payload = json.loads(path.read_text())
-        for key, value in list(payload.items()):
-            if key.startswith("rows:"):
-                payload[key] = [
-                    dict(zip(value["columns"], row)) for row in value["values"]
-                ]
-        path.write_text(json.dumps(payload))
-        cache = SimulationCache(path)
+        root = tmp_path / "cache"
+        cold = run_sweep(small_spec, cache=SimulationCache(shared_dir=root))
+        for path in (root / "rows").glob("*.json"):
+            value = json.loads(path.read_text())
+            path.write_text(
+                json.dumps([dict(zip(value["columns"], row)) for row in value["values"]])
+            )
+        cache = SimulationCache(shared_dir=root)
         warm = run_sweep(small_spec, cache=cache)
         assert cache.row_hits == 0
         assert cache.row_misses == small_spec.num_points
         assert warm.to_csv() == cold.to_csv()
+
+    def test_truncated_row_entry_is_a_corrupt_miss(self, tmp_path):
+        """A row entry that would mis-zip cells under the CSV header is
+        never served: it is a miss, counted as corrupt, and recomputed."""
+        spec = SweepSpec(
+            workloads=("llama3-8b-decode",), chips=("NPU-D",), batch_sizes=(1,)
+        )
+        root = tmp_path / "cache"
+        cold = run_sweep(spec, cache=SimulationCache(shared_dir=root))
+        [path] = (root / "rows").glob("*.json")
+        entry = json.loads(path.read_text())
+        for row in entry["values"]:
+            del row[-3:]
+        path.write_text(json.dumps(entry))
+        cache = SimulationCache(shared_dir=root)
+        warm = run_sweep(spec, cache=cache)
+        assert (cache.row_hits, cache.row_misses) == (0, 1)
+        assert cache.stats()["shared_corrupt"] == 1
+        assert warm.to_csv() == cold.to_csv()
+
+
+#: Row entries of a cache directory filled by an earlier build, pinned
+#: as written then (file name = key, value = entry text).
+PINNED_ROWS = Path(__file__).parent / "golden" / "shared_cache_rows.json"
+
+
+def _pinned_spec() -> SweepSpec:
+    from repro.gating.bet import DEFAULT_PARAMETERS
+
+    return SweepSpec(
+        workloads=("llama3-8b-decode",),
+        chips=("NPU-C", "NPU-D"),
+        batch_sizes=(1,),
+        gating_parameters=(
+            ("default", DEFAULT_PARAMETERS),
+            ("slow-wake", DEFAULT_PARAMETERS.with_delay_multiplier(2.5)),
+        ),
+    )
+
+
+def test_pinned_cache_directory_rehits_with_identical_bytes(tmp_path, update_golden):
+    """Cache keys and row-entry bytes are a format: a directory written
+    by an earlier build re-sweeps with zero row misses, and a fresh run
+    writes the same files byte for byte.  Keys are version-stamped, so a
+    release bump needs ``--update-golden``."""
+    from repro.experiments.keys import CACHE_SCHEMA_VERSION
+
+    spec = _pinned_spec()
+    fresh = tmp_path / "fresh"
+    cold = run_sweep(spec, cache=SimulationCache(shared_dir=fresh))
+    written = {path.stem: path.read_text() for path in (fresh / "rows").iterdir()}
+    if update_golden:
+        PINNED_ROWS.write_text(
+            json.dumps(
+                {"rows": written, "version": CACHE_SCHEMA_VERSION},
+                indent=1,
+                sort_keys=True,
+            )
+        )
+        pytest.skip("pinned cache rows regenerated")
+    pinned = json.loads(PINNED_ROWS.read_text())
+    assert pinned["version"] == CACHE_SCHEMA_VERSION
+    assert written == pinned["rows"]
+
+    old = tmp_path / "old"
+    (old / "rows").mkdir(parents=True)
+    for key, text in pinned["rows"].items():
+        (old / "rows" / f"{key}.json").write_text(text)
+    cache = SimulationCache(shared_dir=old)
+    NPUSimulator.reset_simulate_calls()
+    warm = run_sweep(spec, cache=cache)
+    assert NPUSimulator.simulate_calls == 0
+    assert (cache.row_hits, cache.row_misses) == (spec.num_points, 0)
+    assert warm.to_csv() == cold.to_csv()
 
 
 class TestColumnarSweepResult:
