@@ -67,6 +67,56 @@ _LOG = logging.getLogger(__name__)
 PackedRows = tuple[tuple[str, ...], list[tuple[Any, ...]]]
 
 
+#: Temporal-utilization columns and the component each one reads.
+UTILIZATION_COLUMNS = (
+    ("sa_temporal_util", Component.SA),
+    ("vu_temporal_util", Component.VU),
+    ("hbm_temporal_util", Component.HBM),
+    ("ici_temporal_util", Component.ICI),
+)
+
+#: Per-component energy column names, built once (not per row).
+ENERGY_COLUMNS = tuple(
+    (component, f"energy_{component.value}_j", f"static_{component.value}_j")
+    for component in Component.all()
+)
+
+#: The full result-row schema, in column order.  The row cache serves
+#: only entries of exactly this schema (see :func:`decode_packed_rows`).
+ROW_COLUMNS: tuple[str, ...] = (
+    (
+        "workload",
+        "chip",
+        "num_chips",
+        "batch_size",
+        "parallelism",
+        "gating_label",
+        "policy",
+        "time_s",
+        "overhead_time_s",
+        "total_energy_j",
+        "static_energy_j",
+        "dynamic_energy_j",
+        "static_fraction",
+        "average_power_w",
+        "peak_power_w",
+        "savings_vs_nopg",
+        "overhead_vs_nopg",
+        "pod_energy_j",
+        "energy_per_work_j",
+        "work_per_iteration",
+        "iteration_unit",
+    )
+    + tuple(
+        name
+        for _, energy_column, static_column in ENERGY_COLUMNS
+        for name in (energy_column, static_column)
+    )
+    + tuple(column for column, _ in UTILIZATION_COLUMNS)
+    + ("sa_spatial_util",)
+)
+
+
 def pack_rows(rows: list[dict[str, Any]]) -> PackedRows:
     """Pack row dicts into (columns, value-tuples)."""
     if not rows:
@@ -83,8 +133,9 @@ def unpack_rows(packed: PackedRows) -> list[dict[str, Any]]:
 
 def decode_packed_rows(payload: Any) -> PackedRows | None:
     """Decode a disk row entry, or ``None`` if it is not well formed:
-    anything but string columns and one value per column in every row
-    would mis-zip cells under the CSV header."""
+    anything but the :data:`ROW_COLUMNS` schema with one value per
+    column in every row would mis-zip or mislabel cells under the CSV
+    header."""
     if not isinstance(payload, dict):
         return None
     try:
@@ -92,12 +143,10 @@ def decode_packed_rows(payload: Any) -> PackedRows | None:
         values = [tuple(row) for row in payload["values"]]
     except (KeyError, TypeError, ValueError):
         return None
-    width = len(columns)
-    if not all(isinstance(column, str) for column in columns) or any(
-        len(row) != width for row in values
-    ):
+    width = len(ROW_COLUMNS)
+    if columns != ROW_COLUMNS or any(len(row) != width for row in values):
         return None
-    return columns, values
+    return ROW_COLUMNS, values
 
 
 # ---------------------------------------------------------------------- #
@@ -556,9 +605,10 @@ class SimulationCache:
     # Rows live in the cache in *packed* form: one shared column tuple
     # plus one immutable value tuple per row.  The packed entries make
     # both layers cheap — no ~40-key dict per row in memory or on
-    # disk — and copying on the way out reduces to copying the
-    # outer list, so a caller mutating a returned SweepResult still
-    # cannot poison the cache.
+    # disk — and copying on the way out reduces to copying the outer
+    # list, so a caller editing a returned block cannot poison the
+    # cache.  A SweepResult shares nothing with it: the runner
+    # transposes the blocks into fresh columns.
     def get_rows_packed(self, key: str) -> PackedRows | None:
         packed = self._rows.get(key)
         if packed is None and self._shared is not None:

@@ -1,23 +1,22 @@
 """Tabular results of a parameter sweep.
 
 A :class:`SweepResult` is a small, dependency-free data frame with a
-fixed column order and three interchangeable backing stores:
+fixed column order, held as **one column store**: an ordered
+``{column: ndarray | list}`` plus an explicit row count (so a table
+without columns keeps its length).  The runner transposes its packed
+per-point rows into it once, and a shard merge hands over its columns
+as they are, so float columns may stay memory-mapped views into
+``.repro-shard`` artifacts.  ``filter`` compares array columns
+vectorized, and ``filter``/``group_by`` cut rows with one row-index
+take that only fancy-indexes arrays.
 
-* a **column store** — one array or list per column
-  (:meth:`from_series`; shard merges feed this directly, with float
-  columns that may be memory-mapped views into ``.repro-shard``
-  artifacts).  ``filter`` operates straight on the columns, without
-  building a row tuple or dict;
-* a **packed store** — one value tuple per row (the runner's
-  array-native assembly and the row cache feed this directly), with the
-  row *dicts* of the legacy API materialized lazily on first access;
-* a **row-dict store** — the original ordered list of flat dictionaries
-  (:meth:`from_rows`, and what ``group_by`` hands back).
+Row dicts are read-only views: :attr:`~SweepResult.rows`, iteration,
+indexing, :meth:`~SweepResult.pivot` and :meth:`~SweepResult.to_json`
+build fresh dicts of plain Python scalars from the columns, so editing
+one never changes the table.
 
-Either way the export (CSV/JSON) and reshaping (filter/group-by/pivot)
-helpers behave identically.  All three stores write CSV through one
-renderer: :meth:`iter_csv` cuts the table into windows of rows,
-transposes each window to columns and renders a column at a time, so a
+CSV goes through one renderer: :meth:`~SweepResult.iter_csv` slices
+the columns into windows of rows and renders a column at a time, so a
 merged million-row table goes to disk with resident memory bounded by
 one window.  Floats are exported with ``repr`` (numpy scalars first
 become Python scalars), so a CSV written by a parallel run is
@@ -119,142 +118,89 @@ class SweepResult:
     """An ordered table of sweep rows (one row per point x policy)."""
 
     def __init__(
-        self,
-        columns: Sequence[str],
-        rows: "Sequence[dict[str, Any]] | None" = None,
-        *,
-        values: "Sequence[tuple[Any, ...]] | None" = None,
-        series: "Mapping[str, Any] | None" = None,
+        self, columns: "Mapping[str, Any] | None" = None, length: int | None = None
     ):
-        if sum(store is not None for store in (rows, values, series)) > 1:
-            raise TypeError("pass at most one of rows, values or series")
-        self.columns: tuple[str, ...] = tuple(columns)
-        self._values_list: list[tuple[Any, ...]] | None = (
-            list(values) if values is not None else None
-        )
-        self._series: dict[str, Any] | None = (
-            {name: series[name] for name in self.columns}
-            if series is not None
-            else None
-        )
-        self._rows: list[dict[str, Any]] | None = (
-            list(rows) if rows is not None else None
-        )
-        if self._values_list is None and self._rows is None and self._series is None:
-            self._rows = []
-
-    @property
-    def _values(self) -> "list[tuple[Any, ...]] | None":
-        """The packed store, materializing the column store on demand.
-
-        Column-store tables convert lazily: the first packed access
-        turns the columns into plain-scalar row tuples (``tolist`` for
-        arrays, so ``np.float64`` never leaks into the cells) and drops
-        the column store.  Row-dict-backed tables return ``None``, as
-        before.
-        """
-        if self._values_list is None and self._series is not None:
-            ordered = [
-                column.tolist() if isinstance(column, np.ndarray) else column
-                for column in self._series.values()
-            ]
-            self._values_list = list(zip(*ordered)) if ordered else []
-            self._series = None
-        return self._values_list
-
-    @_values.setter
-    def _values(self, values: "list[tuple[Any, ...]] | None") -> None:
-        self._values_list = values
-        if values is not None:
-            self._series = None
+        self._store: dict[str, Any] = {
+            name: column if isinstance(column, (np.ndarray, list)) else list(column)
+            for name, column in (columns or {}).items()
+        }
+        self.columns: tuple[str, ...] = tuple(self._store)
+        lengths = {len(column) for column in self._store.values()}
+        if length is None:
+            length = min(lengths, default=0)
+        if lengths - {length}:
+            raise ValueError(
+                f"all columns must have {length} row(s); got lengths {sorted(lengths)}"
+            )
+        self._length = length
 
     # -- constructors --------------------------------------------------- #
     @classmethod
-    def from_rows(cls, rows: Sequence[dict[str, Any]]) -> "SweepResult":
-        """Build a result from row dicts (columns from the first row)."""
-        rows = list(rows)
-        columns: tuple[str, ...] = tuple(rows[0].keys()) if rows else ()
-        return cls(columns=columns, rows=rows)
-
-    @classmethod
-    def from_packed(
-        cls, columns: Sequence[str], values: Sequence[Sequence[Any]]
-    ) -> "SweepResult":
-        """Build a result from packed (columns, value-tuples) rows."""
-        return cls(columns=columns, values=[tuple(row) for row in values])
-
-    @classmethod
     def from_columns(cls, columns: "Mapping[str, Any]") -> "SweepResult":
-        """Build a result from column arrays (one array/list per column).
+        """Build a result from one array or list per column, in order.
 
-        NumPy arrays are converted with ``tolist`` so every cell is a
-        plain Python scalar (the JSON export cannot encode numpy
-        scalars).
+        Arrays are kept **as given** (including memory-mapped views into
+        shard artifacts); cells become plain Python scalars only when a
+        consumer asks for rows or a column.
         """
-        names = tuple(columns)
-        series = [
-            column.tolist() if isinstance(column, np.ndarray) else list(column)
-            for column in columns.values()
-        ]
-        if series and len({len(s) for s in series}) > 1:
-            raise ValueError("all columns must have the same length")
-        values = list(zip(*series)) if series else []
-        return cls(columns=names, values=values)
+        return cls(columns)
 
     @classmethod
-    def from_series(cls, columns: Sequence[str], series: "Mapping[str, Any]") -> "SweepResult":
-        """Build a column-store result (one array or list per column).
+    def from_rows(
+        cls,
+        rows: Sequence[dict[str, Any]],
+        columns: Sequence[str] | None = None,
+    ) -> "SweepResult":
+        """Build a result from row dicts.
 
-        Unlike :meth:`from_columns`, the columns are kept **as given**
-        — float columns may be ndarrays (including memory-mapped views
-        into shard artifacts) and are only converted to plain scalars
-        when a consumer actually asks for rows.  Exports and filters
-        run directly over the columns.
+        ``columns`` defaults to the first row's keys.  Every row must
+        carry exactly those keys: a missing or extra key raises
+        :class:`ValueError` naming the row, instead of a blank or
+        dropped cell.
         """
-        columns = tuple(columns)
-        lengths = {len(series[name]) for name in columns}
-        if len(lengths) > 1:
-            raise ValueError("all columns must have the same length")
-        return cls(columns=columns, series=series)
+        rows = list(rows)
+        if columns is None:
+            columns = tuple(rows[0]) if rows else ()
+        expected = set(columns)
+        for position, row in enumerate(rows):
+            if not isinstance(row, dict) or row.keys() != expected:
+                raise ValueError(
+                    f"row {position} is not a dict of exactly the columns "
+                    f"{list(columns)}: {row!r}"
+                )
+        return cls({name: [row[name] for row in rows] for name in columns}, len(rows))
 
     # -- row access ----------------------------------------------------- #
     @property
     def rows(self) -> list[dict[str, Any]]:
-        """The row dicts, materialized from the packed store on demand.
-
-        Once materialized (or when the table was built from dicts), the
-        dict list is the source of truth — mutations are visible to
-        every helper and export.
-        """
-        if self._rows is None:
-            columns = self.columns
-            self._rows = [dict(zip(columns, row)) for row in self._values]
-            self._values = None
-        return self._rows
+        """Fresh row dicts of plain scalars (editing one leaves the table as is)."""
+        return list(self)
 
     def __len__(self) -> int:
-        if self._rows is not None:
-            return len(self._rows)
-        if self._series is not None:
-            return len(next(iter(self._series.values()))) if self._series else 0
-        return len(self._values_list)
+        return self._length
+
+    def _tuples(self, names: Sequence[str]) -> Iterator[tuple[Any, ...]]:
+        """One tuple of the ``names`` cells per row (all ``None`` in a
+        table without columns, which accepts any name)."""
+        if not self.columns or not names:
+            return iter([(None,) * len(names)] * len(self))
+        return zip(*map(self.column, names))
 
     def __iter__(self) -> Iterator[dict[str, Any]]:
-        return iter(self.rows)
+        names = self.columns
+        return (dict(zip(names, cells)) for cells in self._tuples(names))
 
     def __getitem__(self, index: int) -> dict[str, Any]:
-        return self.rows[index]
+        return self._take([range(len(self))[index]]).rows[0]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SweepResult):
             return NotImplemented
-        if self.columns != other.columns:
-            return False
-        if self._values is not None and other._values is not None:
-            # Both packed with identical column order: compare the value
-            # tuples directly, keeping both packed stores intact.
-            return self._values == other._values
-        return self.rows == other.rows
+        return (
+            self.columns == other.columns
+            and len(self) == len(other)
+            and all(self.column(name) == other.column(name) for name in self.columns)
+        )
 
     def __repr__(self) -> str:
         return (
@@ -270,64 +216,55 @@ class SweepResult:
             raise KeyError(f"unknown column(s) {unknown}; have {list(self.columns)}")
 
     def column(self, name: str) -> list[Any]:
-        """All values of one column, in row order (no dict materialization)."""
+        """All values of one column, in row order, as a fresh list."""
         self._check_columns(name)
-        if self._rows is not None:
-            return [row[name] for row in self._rows]
-        if self._series is not None:
-            column = self._series[name]
-            return column.tolist() if isinstance(column, np.ndarray) else list(column)
-        index = self.columns.index(name)
-        return [row[index] for row in self._values_list]
+        column = self._store[name]
+        return column.tolist() if isinstance(column, np.ndarray) else list(column)
 
     # ------------------------------------------------------------------ #
+    def _take(self, positions: Sequence[int]) -> "SweepResult":
+        """The rows at ``positions``, in that order, as a new table.
+
+        Array columns are fancy-indexed (a memory-mapped column reads
+        only the kept rows); list columns gather the kept cells.
+        """
+        positions = np.asarray(positions, dtype=np.intp)
+        picks = positions.tolist()
+        return SweepResult(
+            {
+                name: column[positions]
+                if isinstance(column, np.ndarray)
+                else list(map(column.__getitem__, picks))
+                for name, column in self._store.items()
+            },
+            len(picks),
+        )
+
     def filter(self, **equals: Any) -> "SweepResult":
         """Rows whose columns equal the given values (AND semantics).
 
-        On a column-store table the filter runs column-wise (vectorized
-        comparison for array columns) and the kept rows stay columnar —
-        no row dict is materialized, and array columns are only sliced,
-        keeping memory-mapped inputs out of core.
+        Array columns compare vectorized; no row dict is built.
         """
         self._check_columns(*equals)
-        if self._series is not None and self._rows is None:
-            count = len(self)
-            keep = np.ones(count, dtype=bool)
-            for name, value in equals.items():
-                column = self._series[name]
-                if isinstance(column, np.ndarray):
-                    keep &= column == value
-                else:
-                    keep &= np.fromiter(
-                        (cell == value for cell in column),
-                        dtype=bool,
-                        count=count,
-                    )
-            indices = np.flatnonzero(keep)
-            kept_series = {
-                name: column[indices]
-                if isinstance(column, np.ndarray)
-                else [column[i] for i in indices]
-                for name, column in self._series.items()
-            }
-            return SweepResult(columns=self.columns, series=kept_series)
-        kept = [
-            row
-            for row in self.rows
-            if all(row.get(column) == value for column, value in equals.items())
-        ]
-        return SweepResult(columns=self.columns, rows=kept)
+        count = len(self)
+        keep = np.ones(count, dtype=bool)
+        for name, value in equals.items():
+            column = self._store.get(name, [None] * count)
+            if isinstance(column, np.ndarray):
+                keep &= column == value
+            else:
+                keep &= np.fromiter(
+                    (cell == value for cell in column), dtype=bool, count=count
+                )
+        return self._take(np.flatnonzero(keep))
 
     def group_by(self, *columns: str) -> dict[tuple[Any, ...], "SweepResult"]:
         """Partition the rows by the values of one or more columns."""
         self._check_columns(*columns)
-        groups: dict[tuple[Any, ...], SweepResult] = {}
-        for row in self.rows:
-            key = tuple(row.get(column) for column in columns)
-            groups.setdefault(
-                key, SweepResult(columns=self.columns, rows=[])
-            ).rows.append(row)
-        return groups
+        groups: dict[tuple[Any, ...], list[int]] = {}
+        for position, key in enumerate(self._tuples(columns)):
+            groups.setdefault(key, []).append(position)
+        return {key: self._take(positions) for key, positions in groups.items()}
 
     def pivot(
         self, index: str | Sequence[str], value: str
@@ -341,11 +278,8 @@ class SweepResult:
         index_columns = (index,) if isinstance(index, str) else tuple(index)
         self._check_columns(*index_columns, value)
         table: dict[Any, Any] = {}
-        for row in self.rows:
-            key = tuple(row.get(column) for column in index_columns)
-            if len(index_columns) == 1:
-                key = key[0]
-            entry = row.get(value)
+        for *key, entry in self._tuples((*index_columns, value)):
+            key = key[0] if len(index_columns) == 1 else tuple(key)
             if key in table and table[key] != entry:
                 raise ValueError(
                     f"pivot key {key!r} is ambiguous: {table[key]!r} vs {entry!r}; "
@@ -356,36 +290,23 @@ class SweepResult:
 
     # ------------------------------------------------------------------ #
     def _column_windows(self, size: int) -> Iterator[list[Sequence[Any]]]:
-        """The table in windows of ``size`` rows, one sequence per column.
+        """The table in windows of ``size`` rows, one slice per column.
 
-        Array columns of the column store are only sliced, so
-        memory-mapped shard columns are paged in one window at a time;
-        packed rows are transposed with ``zip``.
+        Array columns are only sliced, so memory-mapped shard columns
+        are paged in one window at a time.
         """
-        count = len(self)
-        names = self.columns
-        if self._rows is not None:
-            rows = self._rows
-            for start in range(0, count, size):
-                window = rows[start : start + size]
-                yield [[row.get(name) for row in window] for name in names]
-        elif self._series is not None:
-            ordered = [self._series[name] for name in names]
-            for start in range(0, count, size):
-                yield [column[start : start + size] for column in ordered]
-        else:
-            values = self._values_list
-            for start in range(0, count, size):
-                yield list(zip(*values[start : start + size]))
+        ordered = list(self._store.values())
+        for start in range(0, len(self), size):
+            yield [column[start : start + size] for column in ordered]
 
     def iter_csv(self) -> Iterator[str]:
         """Yield the CSV text in chunks: the header, then row windows.
 
         The first chunk is the header line; each later chunk holds the
         lines of up to ``_CSV_WINDOW_ROWS`` rows (trailing newline
-        included).  Every store renders through the same column-wise
-        renderer (:class:`_CsvRenderer`), without building a row dict,
-        so resident memory stays bounded by one window.
+        included).  The columns render through :class:`_CsvRenderer`,
+        without building a row dict, so resident memory stays bounded
+        by one window.
         """
         renderer = _CsvRenderer()
         yield renderer.line(self.columns)
@@ -426,19 +347,19 @@ class SweepResult:
 
     @classmethod
     def from_json(cls, text: str) -> "SweepResult":
-        """Inverse of :meth:`to_json`."""
+        """Inverse of :meth:`to_json` (rows must carry exactly the columns)."""
         payload = json.loads(text)
-        return cls(columns=tuple(payload["columns"]), rows=list(payload["rows"]))
+        return cls.from_rows(payload["rows"], columns=payload["columns"])
 
     @classmethod
     def merge_shards(cls, paths: "Sequence[str | Path]") -> "SweepResult":
-        """Reassemble ``.repro-shard`` artifacts into one packed result.
+        """Reassemble ``.repro-shard`` artifacts into one result.
 
         The inverse of a sharded sweep
         (:class:`~repro.experiments.sharding.ShardRunner`): given the
         artifacts of every shard of one plan — in any order, duplicates
-        deduplicated — returns a table byte-identical (packed store and
-        CSV bytes) to the monolithic
+        deduplicated — returns a table equal (cell for cell, and in CSV
+        bytes) to the monolithic
         :meth:`~repro.experiments.runner.SweepRunner.run` of the same
         spec.  Missing, duplicated-but-different and foreign shards
         raise :class:`~repro.experiments.sharding.ShardError`.  The

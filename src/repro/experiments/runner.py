@@ -17,8 +17,10 @@ Row assembly is **array-native**: :func:`assemble_packed_rows` builds
 one column array per result column (vectorizing the derived-cell
 arithmetic of :func:`rows_from_result` operation-for-operation, so the
 cells are bit-identical doubles) and hands the runner packed
-``(columns, value-tuples)`` rows — no ~40-key dict per row is ever
-built on the sweep path.  :func:`rows_from_result` remains the
+``(columns, value-tuples)`` rows, one block per point (the row cache's
+unit); :func:`transpose_packed` turns the blocks into the result's
+column store in one transpose.  No ~40-key dict per row is ever built
+on the sweep path.  :func:`rows_from_result` remains the
 per-point object-path oracle the equivalence tests compare against.
 """
 
@@ -39,73 +41,26 @@ from repro.hardware.components import Component
 from repro.simulator import columnar
 
 from repro.experiments.cache import (
+    ENERGY_COLUMNS,
+    ROW_COLUMNS,
+    UTILIZATION_COLUMNS,
     PackedRows,
     SimulationCache,
     pack_rows,
     simulate_cached,
     simulate_cached_cells,
     simulate_cached_many,
-    unpack_rows,
 )
 from repro.experiments.result import SweepResult
 from repro.experiments.spec import SweepPoint, SweepSpec
 
 _LOG = logging.getLogger(__name__)
 
-#: Temporal-utilization columns and the component each one reads.
-_UTILIZATION_COLUMNS = (
-    ("sa_temporal_util", Component.SA),
-    ("vu_temporal_util", Component.VU),
-    ("hbm_temporal_util", Component.HBM),
-    ("ici_temporal_util", Component.ICI),
-)
-
-#: Per-component energy column names, built once (not per row).
-_ENERGY_COLUMNS = tuple(
-    (component, f"energy_{component.value}_j", f"static_{component.value}_j")
-    for component in Component.all()
-)
-
 #: Per-report static-energy insertion order, imported from the single
 #: definition next to the report producers: the vectorized
 #: ``sum(values())`` replications below must accumulate in exactly this
 #: order to stay bit-identical to the scalar oracle.
 _STATIC_SUM_ORDER = STATIC_ENERGY_ORDER
-
-#: The full result-row schema, in column order.
-ROW_COLUMNS: tuple[str, ...] = (
-    (
-        "workload",
-        "chip",
-        "num_chips",
-        "batch_size",
-        "parallelism",
-        "gating_label",
-        "policy",
-        "time_s",
-        "overhead_time_s",
-        "total_energy_j",
-        "static_energy_j",
-        "dynamic_energy_j",
-        "static_fraction",
-        "average_power_w",
-        "peak_power_w",
-        "savings_vs_nopg",
-        "overhead_vs_nopg",
-        "pod_energy_j",
-        "energy_per_work_j",
-        "work_per_iteration",
-        "iteration_unit",
-    )
-    + tuple(
-        name
-        for _, energy_column, static_column in _ENERGY_COLUMNS
-        for name in (energy_column, static_column)
-    )
-    + tuple(column for column, _ in _UTILIZATION_COLUMNS)
-    + ("sa_spatial_util",)
-)
-
 
 def rows_from_result(point: SweepPoint, result: SimulationResult) -> list[dict[str, Any]]:
     """Flatten one simulation into rows (one per evaluated policy).
@@ -121,7 +76,7 @@ def rows_from_result(point: SweepPoint, result: SimulationResult) -> list[dict[s
     rows: list[dict[str, Any]] = []
     utilization = {
         column: result.temporal_utilization(component)
-        for column, component in _UTILIZATION_COLUMNS
+        for column, component in UTILIZATION_COLUMNS
     }
     sa_spatial = result.sa_spatial_utilization()
     nopg = result.report(PolicyName.NOPG)
@@ -164,7 +119,7 @@ def rows_from_result(point: SweepPoint, result: SimulationResult) -> list[dict[s
         }
         static_energy = report.static_energy_j
         dynamic_energy = report.dynamic_energy_j
-        for component, energy_column, static_column in _ENERGY_COLUMNS:
+        for component, energy_column, static_column in ENERGY_COLUMNS:
             static_c = static_energy.get(component, 0.0)
             row[energy_column] = static_c + dynamic_energy.get(component, 0.0)
             row[static_column] = static_c
@@ -230,7 +185,7 @@ def assemble_packed_cells(
     policy_rows: list[str] = []
     unit_rows: list[str] = []
     util_rows: dict[str, list[float]] = {
-        column: [] for column, _ in _UTILIZATION_COLUMNS
+        column: [] for column, _ in UTILIZATION_COLUMNS
     }
     spatial_rows: list[float] = []
 
@@ -251,7 +206,7 @@ def assemble_packed_cells(
             utils = (
                 [
                     result.temporal_utilization(component)
-                    for _, component in _UTILIZATION_COLUMNS
+                    for _, component in UTILIZATION_COLUMNS
                 ],
                 result.sa_spatial_utilization(),
             )
@@ -297,7 +252,7 @@ def assemble_packed_cells(
         parallelism_rows.extend([parallelism] * n_policies)
         label_rows.extend([point.gating_label] * n_policies)
         unit_rows.extend([result.iteration_unit] * n_policies)
-        for (column, _), value in zip(_UTILIZATION_COLUMNS, utilization):
+        for (column, _), value in zip(UTILIZATION_COLUMNS, utilization):
             util_rows[column].extend([value] * n_policies)
         spatial_rows.extend([sa_spatial] * n_policies)
 
@@ -372,10 +327,10 @@ def assemble_packed_cells(
         "work_per_iteration": work,
         "iteration_unit": unit_rows,
     }
-    for component, energy_column, static_column in _ENERGY_COLUMNS:
+    for component, energy_column, static_column in ENERGY_COLUMNS:
         columns[energy_column] = static_c[component] + dynamic_c[component]
         columns[static_column] = static_c[component]
-    for column, _ in _UTILIZATION_COLUMNS:
+    for column, _ in UTILIZATION_COLUMNS:
         columns[column] = util_rows[column]
     columns["sa_spatial_util"] = spatial_rows
     assert tuple(columns) == ROW_COLUMNS
@@ -481,8 +436,8 @@ class SweepRunner:
     def run(self) -> SweepResult:
         """Execute the sweep and return the assembled table."""
         packed_by_index = self.execute_points(self.spec.points())
-        return _combine_packed(
-            [packed_by_index[index] for index in sorted(packed_by_index)]
+        return SweepResult.from_columns(
+            transpose_packed([packed_by_index[i] for i in sorted(packed_by_index)])
         )
 
     def execute_points(self, points: list[SweepPoint]) -> dict[int, PackedRows]:
@@ -557,22 +512,21 @@ class SweepRunner:
             return _fallback(error)
 
 
-def _combine_packed(blocks: list[PackedRows]) -> SweepResult:
-    """Concatenate per-point packed rows into one columnar result."""
-    columns: tuple[str, ...] | None = None
-    for block_columns, values in blocks:
-        if values:
-            columns = tuple(block_columns)
-            break
-    if columns is None:
-        return SweepResult.from_rows([])
-    if any(tuple(c) != columns for c, values in blocks if values):
-        # Heterogeneous schemas (e.g. rows cached by a different code
-        # path) — fall back to dict assembly, never mis-zip cells.
-        rows = [row for block in blocks for row in unpack_rows(block)]
-        return SweepResult.from_rows(rows)
-    all_values = [row for _, values in blocks for row in values]
-    return SweepResult.from_packed(columns, all_values)
+def transpose_packed(blocks: list[PackedRows]) -> dict[str, Any]:
+    """Per-point packed rows as one column store, in one transpose.
+
+    Every block carries :data:`ROW_COLUMNS` (the row cache turns any
+    other entry into a miss).  Columns whose cells are all floats
+    become ``float64`` arrays (an exact round trip); the others are
+    lists.  No rows, no columns.
+    """
+    rows = [row for _columns, block in blocks for row in block]
+    return {
+        name: np.asarray(cells, dtype=np.float64)
+        if set(map(type, cells)) == {float}
+        else list(cells)
+        for name, cells in zip(ROW_COLUMNS, zip(*rows))
+    }
 
 
 def run_sweep(
@@ -594,5 +548,5 @@ __all__ = [
     "run_point",
     "run_points_packed",
     "run_sweep",
-    "unpack_rows",
+    "transpose_packed",
 ]

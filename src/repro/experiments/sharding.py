@@ -20,7 +20,7 @@ monolithic :class:`~repro.experiments.runner.SweepRunner` run:
 * :class:`ShardRunner` — executes one shard's points through the
   existing packed :class:`~repro.experiments.runner.SweepRunner`
   pipeline (row cache, grid-batched policy kernel, optional process
-  pool) and captures the packed rows as a :class:`ShardArtifact`.
+  pool) and transposes the packed rows into a :class:`ShardArtifact`.
 * :class:`ShardArtifact` — a self-describing ``.repro-shard`` directory:
   ``manifest.json`` (spec digest, shard indices, code version, per-point
   row accounting), ``columns.npy`` (every float column stacked into one
@@ -64,7 +64,7 @@ from repro.experiments import keys
 from repro.experiments.cache import PackedRows, SimulationCache, atomic_replace
 from repro.experiments.keys import file_digest, shard_key, stable_hash
 from repro.experiments.result import SweepResult
-from repro.experiments.runner import SweepRunner
+from repro.experiments.runner import SweepRunner, transpose_packed
 from repro.experiments.spec import SweepPoint, SweepSpec
 
 #: On-disk artifact schema (bumped when the layout changes shape).
@@ -288,30 +288,40 @@ def _encode_object_column(cells: list) -> Any:
     return {"categories": categories, "codes": codes}
 
 
-def _decode_object_column(entry: Any) -> list:
-    """Inverse of :func:`_encode_object_column` (accepts both shapes)."""
-    if isinstance(entry, dict):
-        return list(map(entry["categories"].__getitem__, entry["codes"]))
-    return entry
+def _decode_object_column(name: str, entry: Any) -> list:
+    """Inverse of :func:`_encode_object_column` (accepts both shapes).
+
+    Anything but a list, or a ``{categories, codes}`` pair whose codes
+    are ints indexing the categories, raises :class:`ValueError`: a
+    negative code would silently relabel a row with another category.
+    """
+    if isinstance(entry, list):
+        return entry
+    if not isinstance(entry, dict) or entry.keys() != {"categories", "codes"}:
+        raise ValueError(f"column {name!r} is neither a list nor categories/codes")
+    categories, codes = entry["categories"], entry["codes"]
+    if (
+        not isinstance(categories, list)
+        or not isinstance(codes, list)
+        or not set(map(type, codes)) <= {int}
+        or (codes and not 0 <= min(codes) <= max(codes) < len(categories))
+    ):
+        raise ValueError(
+            f"column {name!r}: dictionary codes must be a list of ints "
+            f"in [0, {len(categories)})"
+        )
+    return list(map(categories.__getitem__, codes))
 
 
 class ShardArtifact:
-    """The packed rows of one or more shards, (de)serializable as a
-    self-describing ``.repro-shard`` directory.
+    """The rows of one or more shards as one column store,
+    (de)serializable as a self-describing ``.repro-shard`` directory.
 
-    Backed by one of two interchangeable stores:
-
-    * a **row store** (``values=``) — one value tuple per row,
-      point-major, what :meth:`from_blocks` captures off the runner;
-    * a **column store** (``series=``) — one array/list per column;
-      artifacts loaded with :meth:`read` keep their float columns as
-      views into the memory-mapped ``columns.npy`` matrix, so a loaded
-      artifact costs pages only for the cells actually touched.
-
-    The first access to :attr:`values` materializes the column store
-    into row tuples (and drops it), so callers that mutate
-    ``artifact.values`` in place see their mutations honored by
-    :meth:`write` exactly as before.
+    The store maps each column, in order, to an array (float columns)
+    or a list.  :meth:`from_blocks` transposes a shard's per-point
+    packed rows into it once; :meth:`read` keeps the float columns as
+    views into the memory-mapped ``columns.npy`` matrix, so a loaded
+    artifact costs pages only for the cells actually touched.
     """
 
     def __init__(
@@ -321,14 +331,10 @@ class ShardArtifact:
         shard_indices: tuple[int, ...],
         columns: tuple[str, ...],
         points: list[tuple[int, str, int]],
-        values: "list[tuple[Any, ...]] | None" = None,
+        series: dict[str, Any],
         version: str = __version__,
         path: Path | None = None,
-        *,
-        series: "dict[str, Any] | None" = None,
     ):
-        if (values is None) == (series is None):
-            raise TypeError("pass exactly one of values= or series=")
         self.spec_digest = spec_digest
         self.shard_count = shard_count
         self.shard_indices = tuple(shard_indices)
@@ -340,12 +346,10 @@ class ShardArtifact:
         self.version = version
         #: Where the artifact was read from, for error messages.
         self.path = path
-        self._values = values
-        self._series = series
+        self._store = {name: series[name] for name in self.columns}
         #: Backing float-column matrix (row i = numeric column i) when
         #: the artifact was read from disk; lets the merge copy all
-        #: float columns of a row run in one slice.  Dropped whenever
-        #: the series store is (mutations go through ``values``).
+        #: float columns of a row run in one slice.
         self._matrix: "np.ndarray | None" = None
         self._matrix_columns: tuple[str, ...] = ()
 
@@ -366,48 +370,12 @@ class ShardArtifact:
 
     @property
     def row_count(self) -> int:
-        if self._values is not None:
-            return len(self._values)
         return sum(rows for _index, _key, rows in self.points)
 
-    @property
-    def values(self) -> list[tuple[Any, ...]]:
-        """All rows, point-major, aligned with :attr:`points`.
-
-        Column-store artifacts materialize (and drop) their store on
-        first access; in-place mutations are therefore visible to
-        :meth:`write` and the merge's duplicate detection.
-        """
-        if self._values is None:
-            series = self._series
-            ordered = [
-                series[name].tolist()
-                if isinstance(series[name], np.ndarray)
-                else series[name]
-                for name in self.columns
-            ]
-            self._values = [tuple(row) for row in zip(*ordered)] if ordered else []
-            self._series = None
-            self._matrix = None
-        return self._values
-
-    @values.setter
-    def values(self, rows: "Sequence[tuple[Any, ...]]") -> None:
-        self._values = list(rows)
-        self._series = None
-        self._matrix = None
-
     def column(self, name: str) -> Any:
-        """One column's cells in stored row order.
-
-        Column-store artifacts hand back the backing array/list itself
-        (float columns stay memory-mapped: zero-copy); row-store
-        artifacts gather the column positionally.
-        """
-        if self._series is not None:
-            return self._series[name]
-        position = self.columns.index(name)
-        return [row[position] for row in self._values]
+        """One column's backing array or list, in stored row order
+        (float columns of a read artifact stay memory-mapped)."""
+        return self._store[name]
 
     @property
     def artifact_name(self) -> str:
@@ -427,80 +395,25 @@ class ShardArtifact:
         shard is byte-deterministic regardless of execution order.
         """
         blocks = sorted(blocks, key=lambda block: block[0].index)
-        columns: tuple[str, ...] = ()
-        for _point, (block_columns, block_values) in blocks:
-            if block_values:
-                columns = tuple(block_columns)
-                break
-        points: list[tuple[int, str, int]] = []
-        values: list[tuple[Any, ...]] = []
-        for point, (block_columns, block_values) in blocks:
-            if block_values and tuple(block_columns) != columns:
-                raise ShardError(
-                    "cannot serialize heterogeneous row schemas into one "
-                    "shard artifact (stale cache entries from another code "
-                    f"version?): {tuple(block_columns)} vs {columns}"
-                )
-            points.append((point.index, point.cache_key, len(block_values)))
-            values.extend(tuple(row) for row in block_values)
+        series = transpose_packed([packed for _point, packed in blocks])
         return cls(
             spec_digest=shard.spec_digest,
             shard_count=shard.count,
             shard_indices=(shard.index,),
-            columns=columns,
-            points=points,
-            values=values,
+            columns=tuple(series),
+            points=[
+                (point.index, point.cache_key, len(values))
+                for point, (_columns, values) in blocks
+            ],
+            series=series,
         )
 
     def result(self) -> SweepResult:
-        """This artifact's rows as a packed :class:`SweepResult`.
-
-        Column-store artifacts stay columnar (float columns remain
-        memory-mapped views); row-store artifacts stay packed.
-        """
-        if self._series is not None:
-            return SweepResult.from_series(
-                self.columns, {name: self._series[name] for name in self.columns}
-            )
-        return SweepResult.from_packed(self.columns, self.values)
+        """This artifact's rows as a :class:`SweepResult` over the same
+        columns (float columns stay memory-mapped views)."""
+        return SweepResult.from_columns(self._store)
 
     # ------------------------------------------------------------------ #
-    def _column_store(self) -> "tuple[dict[str, Any], list[str]]":
-        """``(series, numeric column names)`` of this artifact's cells.
-
-        Row-store artifacts gather their columns here (floats become
-        ``float64`` arrays — an exact round trip); column-store
-        artifacts return their backing store as-is, where a numeric
-        column *is* an ndarray.
-        """
-        if self._series is not None:
-            series = self._series
-            numeric = [
-                name
-                for name in self.columns
-                if isinstance(series[name], np.ndarray)
-            ]
-            return series, numeric
-        transposed = list(zip(*self._values)) if self._values else []
-        gathered = {
-            name: list(transposed[position]) if transposed else []
-            for position, name in enumerate(self.columns)
-        }
-        numeric = [
-            name
-            for name, cells in gathered.items()
-            # set(map(type, ...)) runs the exact type scan in C.
-            if cells and set(map(type, cells)) == {float}
-        ]
-        numeric_set = set(numeric)
-        series = {
-            name: np.asarray(cells, dtype=np.float64)
-            if name in numeric_set
-            else cells
-            for name, cells in gathered.items()
-        }
-        return series, numeric
-
     def write(
         self,
         target: str | Path,
@@ -529,7 +442,10 @@ class ShardArtifact:
             target / self.artifact_name
         )
         path.mkdir(parents=True, exist_ok=True)
-        series, numeric = self._column_store()
+        series = self._store
+        numeric = [
+            name for name in self.columns if isinstance(series[name], np.ndarray)
+        ]
         objects = {
             name: _encode_object_column(
                 series[name]
@@ -624,10 +540,10 @@ class ShardArtifact:
             numeric_set = set(numeric)
             for name in columns:
                 if name not in numeric_set:
-                    series[name] = _decode_object_column(objects[name])
+                    series[name] = _decode_object_column(name, objects[name])
         except ShardError:
             raise
-        except (OSError, KeyError, ValueError) as error:
+        except (OSError, KeyError, TypeError, ValueError) as error:
             raise ShardError(
                 f"{path}: corrupt or incomplete shard artifact ({error})"
             ) from error

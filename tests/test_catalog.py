@@ -125,8 +125,8 @@ class TestRegisterLookup:
             shard_count=1,
             shard_indices=(0,),
             columns=(),
-            values=[],
-            points=(),
+            points=[],
+            series={},
             version="0.0.1",
         )
         path = stale.write(tmp_path / "stale.repro-shard")

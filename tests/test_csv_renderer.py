@@ -5,8 +5,9 @@ Its contract is the per-row writer it replaced, after normalizing numpy
 scalars to Python scalars: every cell through :func:`csv.writer`, floats
 as ``repr``.  The tables drawn here hold the cells that stress that
 contract (signed zeros, NaN, infinities, subnormals, large floats, ints,
-bools, ``None``, strings that need quoting) in every store, at sizes on
-both sides of the rendering window.
+bools, ``None``, strings that need quoting), built from every
+constructor input shape (row dicts, list columns, ndarray columns), at
+sizes on both sides of the rendering window.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ objects = st.one_of(
     st.booleans().map(np.bool_),
 )
 
-#: Column kinds: (cell strategy, dtype of the column store's array or
+#: Column kinds: (cell strategy, dtype of the ndarray-columns input or
 #: None for a plain list).  Numpy-typed kinds hold numpy scalars in the
-#: packed and row-dict stores and an array in the column store.
+#: row-dict and list-column inputs and an array in the ndarray input.
 KINDS = {
     "float": (floats, np.float64),
     "float64-scalars": (floats.map(np.float64), np.float64),
@@ -89,17 +90,19 @@ def tables(draw, row_counts=st.sampled_from(ROW_COUNTS)):
     return columns, rows, [KINDS[kind][1] for kind in kinds]
 
 
-def _stores(columns, rows, dtypes):
-    series = {
-        name: np.array([row[index] for row in rows], dtype=dtype)
-        if dtype is not None
-        else [row[index] for row in rows]
-        for index, (name, dtype) in enumerate(zip(columns, dtypes))
+def _from_each_input(columns, rows, dtypes):
+    """The table built from each constructor input shape."""
+    lists = {name: [row[index] for row in rows] for index, name in enumerate(columns)}
+    arrays = {
+        name: cells if dtype is None else np.array(cells, dtype=dtype)
+        for (name, cells), dtype in zip(lists.items(), dtypes)
     }
     return {
-        "rows": SweepResult(columns, rows=[dict(zip(columns, row)) for row in rows]),
-        "packed": SweepResult.from_packed(columns, rows),
-        "columns": SweepResult.from_series(columns, series),
+        "row dicts": SweepResult.from_rows(
+            [dict(zip(columns, row)) for row in rows], columns=columns
+        ),
+        "list columns": SweepResult.from_columns(lists),
+        "ndarray columns": SweepResult.from_columns(arrays),
     }
 
 
@@ -108,11 +111,11 @@ def _stores(columns, rows, dtypes):
 def test_every_store_renders_the_oracle_bytes(table):
     columns, rows, dtypes = table
     expected = _oracle_csv(columns, rows)
-    for store, result in _stores(columns, rows, dtypes).items():
+    for shape, result in _from_each_input(columns, rows, dtypes).items():
         chunks = list(result.iter_csv())
-        assert chunks[0] == _oracle_csv(columns, []), store
-        assert "".join(chunks) == expected, store
-        assert result.to_csv() == expected, store
+        assert chunks[0] == _oracle_csv(columns, []), shape
+        assert "".join(chunks) == expected, shape
+        assert result.to_csv() == expected, shape
 
 
 @settings(max_examples=20, deadline=None)
@@ -121,14 +124,16 @@ def test_write_csv_writes_the_oracle_bytes(table, tmp_path_factory):
     columns, rows, dtypes = table
     expected = _oracle_csv(columns, rows).encode("utf-8")
     path = tmp_path_factory.mktemp("csv") / "table.csv"
-    for store, result in _stores(columns, rows, dtypes).items():
-        assert result.write_csv(path) == len(rows), store
-        assert path.read_bytes() == expected, store
+    for shape, result in _from_each_input(columns, rows, dtypes).items():
+        assert result.write_csv(path) == len(rows), shape
+        assert path.read_bytes() == expected, shape
 
 
 @pytest.mark.parametrize("count", ROW_COUNTS)
 def test_chunks_are_header_then_windows(count):
-    result = SweepResult.from_packed(("x", "y"), [(float(i), "s") for i in range(count)])
+    result = SweepResult.from_columns(
+        {"x": [float(i) for i in range(count)], "y": ["s"] * count}
+    )
     chunks = list(result.iter_csv())
     assert chunks[0] == "x,y\n"
     assert [chunk.count("\n") for chunk in chunks[1:]] == [
@@ -139,8 +144,8 @@ def test_chunks_are_header_then_windows(count):
 def test_signed_zeros_and_nans_keep_their_text_in_one_column():
     cells = [-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 0.0, -0.0]
     rows = [(cell,) for cell in cells]
-    for store, result in _stores(["x"], rows, [np.float64]).items():
-        assert result.to_csv() == _oracle_csv(["x"], rows), store
+    for shape, result in _from_each_input(["x"], rows, [np.float64]).items():
+        assert result.to_csv() == _oracle_csv(["x"], rows), shape
 
 
 def test_single_empty_field_records_are_quoted_like_csv():
@@ -155,7 +160,7 @@ def test_tables_without_columns_write_one_empty_line_per_row():
 
 
 class TestNumpyScalarCells:
-    """Numpy scalars in the row-dict and packed stores (regression).
+    """Numpy scalars in row dicts and list columns (regression).
 
     Numpy 2's ``repr(np.float64(0.1))`` is ``'np.float64(0.1)'``; the
     cells must render like the same values in a column-store array.
@@ -170,5 +175,4 @@ class TestNumpyScalarCells:
         expected = SweepResult.from_columns({"a": values}).to_csv()
         rows = [{"a": value} for value in values]
         assert SweepResult.from_rows(rows).to_csv() == expected
-        assert SweepResult.from_packed(("a",), [(v,) for v in values]).to_csv() == expected
-        assert SweepResult.from_series(("a",), {"a": values}).to_csv() == expected
+        assert SweepResult.from_columns({"a": list(values)}).to_csv() == expected

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.config import SimulationConfig
 from repro.experiments import (
+    ROW_COLUMNS,
     SimulationCache,
     SweepSpec,
     canonical,
@@ -220,18 +221,21 @@ class TestSimulateCached:
 
 
 class TestRowPayloads:
-    """Disk row entries decode only from the packed dict form; anything
-    else (a list, a scalar, a dict without the packed keys, non-string
-    columns, a row without one value per column) is a corrupt miss,
-    never an exception."""
+    """Disk row entries decode only from the packed dict form of the
+    sweep row schema; anything else (a list, a scalar, a dict without
+    the packed keys, non-string or foreign column names, a row without
+    one value per column) is a corrupt miss, never an exception."""
 
-    PACKED = {"columns": ["a", "b"], "values": [[1, 2.5], [3, 4.5]]}
+    ROW = [f"cell{index}" for index in range(len(ROW_COLUMNS))]
+    PACKED = {"columns": list(ROW_COLUMNS), "values": [ROW, ROW]}
     FOREIGN = (
-        [{"a": 1, "b": 2.5}],
+        [dict(zip(ROW_COLUMNS, ROW))],
         7,
-        {"columns": ["a"]},
+        {"columns": list(ROW_COLUMNS)},
         {"columns": ["a", 2], "values": [[1, 2.5]]},
-        {"columns": ["a", "b"], "values": [[1, 2.5], [3]]},
+        {"columns": ["a", "b"], "values": [[1, 2.5], [3, 4.5]]},
+        {"columns": ["name", *ROW_COLUMNS[1:]], "values": [ROW]},
+        {"columns": list(ROW_COLUMNS), "values": [ROW, ROW[:-1]]},
     )
 
     def test_shared_dir_layer(self, tmp_path):
@@ -242,7 +246,7 @@ class TestRowPayloads:
         for index, payload in enumerate(self.FOREIGN):
             shared.put_json("rows", f"bad{index}", payload)
         cache = SimulationCache(shared_dir=shared)
-        assert cache.get_rows_packed("good") == (("a", "b"), [(1, 2.5), (3, 4.5)])
+        assert cache.get_rows_packed("good") == (ROW_COLUMNS, [tuple(self.ROW)] * 2)
         for index in range(len(self.FOREIGN)):
             assert cache.get_rows_packed(f"bad{index}") is None
         assert cache.row_misses == len(self.FOREIGN)

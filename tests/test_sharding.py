@@ -2,7 +2,7 @@
 
 The sharding subsystem's contract is the same hard one every fast path
 in this tree carries: a sharded run, merged, is **byte-identical** to
-the monolithic run — array equality on the packed store and identical
+the monolithic run — equal cells in every column and identical
 ``iter_csv`` bytes — for every shard count, including counts larger
 than the grid.  The suite also pins the planner's partition properties
 (disjoint, covering, order-stable, chip-major) and merge's algebra
@@ -38,6 +38,7 @@ from repro.experiments import (
     merge_shard_paths,
     spec_digest,
 )
+from repro.experiments.sharding import read_artifacts
 from repro.gating.bet import DEFAULT_PARAMETERS
 from repro.simulator.engine import NPUSimulator
 
@@ -61,6 +62,13 @@ SPECS = {
 }
 
 SHARD_COUNTS = (1, 2, 3, 7)  # 7 > num_points of gating_grid: empty shards
+
+
+def _assert_same_table(merged: SweepResult, oracle: SweepResult) -> None:
+    """Table equality, then every column cell for cell."""
+    assert merged == oracle
+    for name in oracle.columns:
+        assert merged.column(name) == oracle.column(name), name
 
 
 def _profile_warm_cache(source: SimulationCache) -> SimulationCache:
@@ -105,11 +113,9 @@ class TestShardedEquivalence:
             )
             paths.append(runner.write(index, tmp_path))
         merged = SweepResult.merge_shards(paths)
-        # Array equality on the packed store: same columns, same value
-        # tuples, in the monolithic order.
+        # Cell equality: same columns, same cells, in the monolithic order.
         assert merged.columns == oracle.columns
-        assert merged._values == oracle._values
-        assert merged == oracle
+        _assert_same_table(merged, oracle)
         # And the streamed CSV bytes are identical.
         assert "".join(merged.iter_csv()) == "".join(oracle.iter_csv())
 
@@ -245,7 +251,7 @@ class TestMergeAlgebra:
     def test_merge_is_permutation_invariant(self, order, shard_artifacts):
         paths, oracle = shard_artifacts
         merged = SweepResult.merge_shards([paths[i] for i in order])
-        assert merged._values == oracle._values
+        _assert_same_table(merged, oracle)
         assert merged.columns == oracle.columns
 
     @given(
@@ -260,7 +266,7 @@ class TestMergeAlgebra:
         paths, oracle = shard_artifacts
         repeated = list(paths) + [paths[i] for i in duplicates]
         merged = SweepResult.merge_shards(repeated)
-        assert merged._values == oracle._values
+        _assert_same_table(merged, oracle)
 
     @given(split=st.integers(min_value=1, max_value=2))
     @settings(
@@ -277,11 +283,11 @@ class TestMergeAlgebra:
         partial = merge_artifacts(prefix)
         partial_path = partial.write(tmp_path)
         merged = SweepResult.merge_shards([partial_path, *paths[split:]])
-        assert merged._values == oracle._values
+        _assert_same_table(merged, oracle)
         # ... and re-merging a partial merge with one of its own inputs
         # still deduplicates (point-level idempotence).
         again = SweepResult.merge_shards([partial_path, *paths[split:], paths[0]])
-        assert again._values == oracle._values
+        _assert_same_table(again, oracle)
 
 
 class TestMergeValidation:
@@ -315,14 +321,50 @@ class TestMergeValidation:
 
     def test_duplicate_but_different_shard_rejected(self, shard_artifacts, tmp_path):
         paths, _oracle = shard_artifacts
-        tampered = ShardArtifact.read(paths[1])
-        row = list(tampered.values[0])
-        column = tampered.columns.index("total_energy_j")
-        row[column] = row[column] * 2.0
-        tampered.values[0] = tuple(row)
+        original = ShardArtifact.read(paths[1])
+        energy = original.column("total_energy_j").copy()
+        energy[0] *= 2.0
+        series = {name: original.column(name) for name in original.columns}
+        tampered = ShardArtifact(
+            original.spec_digest,
+            original.shard_count,
+            original.shard_indices,
+            original.columns,
+            original.points,
+            {**series, "total_energy_j": energy},
+        )
         tampered_path = tampered.write(tmp_path)
         with pytest.raises(ShardError, match="duplicate shard data"):
             merge_shard_paths([*paths, tampered_path])
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda entry: entry["codes"].__setitem__(0, -1),
+            lambda entry: entry["codes"].__setitem__(0, len(entry["categories"])),
+            lambda entry: entry.update(codes=7),
+        ],
+        ids=["negative-code", "code-out-of-range", "codes-not-a-list"],
+    )
+    def test_corrupt_dictionary_codes_rejected(self, corrupt, shard_artifacts, tmp_path):
+        """A dictionary code that does not index the categories is a
+        corrupt artifact (strict: ShardError; lenient: skipped), never a
+        relabelled row or a bare IndexError/TypeError."""
+        import shutil
+
+        paths, _oracle = shard_artifacts
+        broken = tmp_path / paths[1].name
+        shutil.copytree(paths[1], broken)
+        objects = json.loads((broken / "columns.json").read_text())
+        corrupt(objects["policy"])
+        (broken / "columns.json").write_text(json.dumps(objects))
+        with pytest.raises(ShardError, match="policy"):
+            ShardArtifact.read(broken)
+        with pytest.raises(ShardError, match="policy"):
+            merge_shard_paths([paths[0], broken, paths[2]])
+        artifacts, skipped = read_artifacts([paths[0], broken, paths[2]], strict=False)
+        assert len(artifacts) == 2
+        assert [path for path, _reason in skipped] == [broken]
 
     def test_unreadable_artifact_rejected(self, tmp_path):
         bogus = tmp_path / "bogus.repro-shard"
@@ -426,7 +468,7 @@ class TestSharedCache:
         second = ShardRunner(spec, 2, cache=SimulationCache(shared_dir=shared))
         warm = second.run(0)
         assert NPUSimulator.simulate_calls == 0
-        assert warm.values == cold.values
+        assert warm.result() == cold.result()
 
     def test_shared_profile_roundtrip_is_bit_identical(self, tmp_path):
         """Rows recomputed from a *reloaded* shared profile equal the
@@ -448,7 +490,7 @@ class TestSharedCache:
             spec, 1, cache=SimulationCache(shared_dir=profiles_only)
         ).run(0)
         assert NPUSimulator.simulate_calls == 0
-        assert reloaded.values == baseline.values
+        assert reloaded.result() == baseline.result()
 
     def test_corrupted_entries_fall_back_to_miss(self, tmp_path):
         spec = SPECS["gating_grid"]
@@ -468,7 +510,7 @@ class TestSharedCache:
         rerun = ShardRunner(spec, 1, cache=cache).run(0)
         assert NPUSimulator.simulate_calls > 0  # misses, not crashes
         baseline = ShardRunner(spec, 1, cache=SimulationCache()).run(0)
-        assert rerun.values == baseline.values
+        assert rerun.result() == baseline.result()
 
     def test_concurrent_writers_never_tear_an_entry(self, tmp_path):
         """Two processes racing on one entry: every read is a complete

@@ -10,6 +10,7 @@ import pytest
 from repro.experiments import (
     ROW_COLUMNS,
     SimulationCache,
+    SweepResult,
     SweepRunner,
     SweepSpec,
     run_sweep,
@@ -178,8 +179,6 @@ class TestSweepResultHelpers:
             table.group_by("workloads")
 
     def test_json_roundtrip(self, table):
-        from repro.experiments import SweepResult
-
         clone = SweepResult.from_json(table.to_json())
         assert clone.columns == table.columns
         assert clone.rows == table.rows
@@ -347,6 +346,32 @@ class TestPackedRowPipeline:
         assert cache.stats()["shared_corrupt"] == 1
         assert warm.to_csv() == cold.to_csv()
 
+    def test_foreign_column_names_are_a_corrupt_miss(self, tmp_path, capsys):
+        """A row entry with a renamed column keeps a valid shape but
+        would label its cells wrongly: it is recomputed, re-written and
+        counted as corrupt, and the re-run CSV equals the cold one."""
+        from repro.cli import main
+
+        root = tmp_path / "cache"
+        argv = ["sweep", "-w", "llama3-8b-decode", "-w", "dlrm-s", "--chip", "NPU-D"]
+        argv += ["--shared-cache", str(root)]
+        assert main([*argv, "--csv", str(tmp_path / "cold.csv")]) == 0
+        path = sorted((root / "rows").glob("*.json"))[0]
+        pristine = path.read_text()
+        entry = json.loads(pristine)
+        entry["columns"][0] = "name"
+        path.write_text(json.dumps(entry))
+        assert main([*argv, "--csv", str(tmp_path / "warm.csv")]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "warm.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
+        assert path.read_text() == pristine
+
+        path.write_text(json.dumps(entry))
+        cache = SimulationCache(shared_dir=root)
+        run_sweep(SweepSpec(workloads=("llama3-8b-decode", "dlrm-s"), chips=("NPU-D",)), cache)
+        assert (cache.row_hits, cache.row_misses) == (1, 1)
+        assert cache.stats()["shared_corrupt"] == 1
+
 
 #: Row entries of a cache directory filled by an earlier build, pinned
 #: as written then (file name = key, value = entry text).
@@ -405,29 +430,44 @@ def test_pinned_cache_directory_rehits_with_identical_bytes(tmp_path, update_gol
 
 class TestColumnarSweepResult:
     def test_from_columns_and_lazy_rows(self):
-        from repro.experiments import SweepResult
-
         table = SweepResult.from_columns(
             {"name": ["a", "b"], "value": [1.0, 2.5]}
         )
         assert table.columns == ("name", "value")
         assert len(table) == 2
-        # column() reads the packed store without building dicts.
         assert table.column("value") == [1.0, 2.5]
-        assert table._rows is None
-        # iter_csv streams without materializing row dicts either.
         text = "".join(table.iter_csv())
-        assert table._rows is None
         assert text.splitlines()[1] == "a,1.0"
-        # The dict API materializes lazily and stays mutable.
         assert table[0] == {"name": "a", "value": 1.0}
+        # Rows, indexed rows and columns are copies: editing one leaves
+        # the table (and every later export) unchanged.
         table.rows[0]["value"] = 9.0
-        assert "9.0" in table.to_csv()
+        table[1]["value"] = 9.0
+        table.column("value")[0] = 9.0
+        assert table.to_csv() == text
+        assert table.rows == [
+            {"name": "a", "value": 1.0},
+            {"name": "b", "value": 2.5},
+        ]
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: SweepResult.from_json('{"columns": ["a", "b"], "rows": [{"a": 1}]}'),
+            lambda: SweepResult.from_json(
+                '{"columns": ["a"], "rows": [{"a": 1}, {"a": 2, "b": 3}]}'
+            ),
+            lambda: SweepResult.from_rows([{"a": 1, "b": 2}, {"a": 3}]),
+            lambda: SweepResult.from_rows([{"a": 1}, {"a": 2, "b": 3}]),
+        ],
+        ids=["json-missing", "json-extra", "rows-missing", "rows-extra"],
+    )
+    def test_rows_must_carry_exactly_the_columns(self, build):
+        with pytest.raises(ValueError, match=r"row [01] "):
+            build()
 
     def test_from_columns_accepts_ndarrays(self):
         import numpy as np
-
-        from repro.experiments import SweepResult
 
         table = SweepResult.from_columns({"x": np.asarray([0.1, 0.2])})
         # Cells are plain Python floats (repr round-trips in CSV).
@@ -435,8 +475,6 @@ class TestColumnarSweepResult:
 
     def test_packed_and_dict_backed_tables_export_identically(self, small_spec):
         table = run_sweep(small_spec, cache=SimulationCache())
-        from repro.experiments import SweepResult
-
         clone = SweepResult.from_rows([dict(row) for row in table.rows])
         assert clone.to_csv() == table.to_csv()
         assert clone.to_json() == table.to_json()
