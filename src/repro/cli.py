@@ -827,7 +827,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", choices=("process", "thread", "ssh", "loopback"),
         default="process",
         help="worker backend: one killable process per shard attempt, "
-             "forked by a warm fork server (default), in-process threads, "
+             "forked by a fork server that is itself forked from this "
+             "process (default), in-process threads, "
              "a fleet of SSH hosts, or the "
              "hermetic loopback fleet (remote code path, local processes)",
     )

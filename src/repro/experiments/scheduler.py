@@ -77,10 +77,10 @@ import random
 import select
 import shutil
 import signal
-import subprocess
 import sys
 import threading
 import time
+import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -122,10 +122,6 @@ EXIT_FORK_SERVER_LOST = 74
 
 #: Environment variable holding the fault-injection spec.
 FAULT_ENV = "REPRO_FAULT_SPEC"
-
-#: ``python -m repro.experiments.worker FORK_SERVER_FLAG`` runs the
-#: process backend's fork server instead of one attempt.
-FORK_SERVER_FLAG = "--fork-server"
 
 SPEC_FILENAME = "spec.pkl"
 JOURNAL_FILENAME = "journal.jsonl"
@@ -631,12 +627,18 @@ class WorkerHandle:
 
 
 class _ThreadWorkerHandle(WorkerHandle):
-    def __init__(self, ctx: DispatchContext, injector: FaultInjector | None):
+    def __init__(
+        self,
+        ctx: DispatchContext,
+        injector: FaultInjector | None,
+        finished: threading.Event,
+    ):
         super().__init__(ctx)
         self._stop = threading.Event()
         self._result: list[int] = []
 
         def _body() -> None:
+            code = 1
             try:
                 code = execute_shard_attempt(
                     ctx.spec,
@@ -654,8 +656,9 @@ class _ThreadWorkerHandle(WorkerHandle):
                 _LOG.exception(
                     "in-process worker for shard %d crashed", ctx.shard_index
                 )
-                code = 1
-            self._result.append(code)
+            finally:
+                self._result.append(code)
+                finished.set()
 
         self._thread = threading.Thread(
             target=_body,
@@ -665,34 +668,78 @@ class _ThreadWorkerHandle(WorkerHandle):
         self._thread.start()
 
     def poll(self) -> int | None:
-        if self._thread.is_alive():
-            return None
-        return self._result[0] if self._result else 1
+        if self._result:
+            return self._result[0]
+        return None if self._thread.is_alive() else 1
 
     def kill(self) -> None:
         self._stop.set()
 
 
 class _ForkServer:
-    """The scheduler's end of one ``repro.experiments.worker --fork-server``.
+    """The scheduler's end of one fork server (:func:`repro.experiments.worker.serve`).
 
-    Requests go down the server's stdin and events come back on its
-    stdout (the protocol is in :mod:`repro.experiments.worker`).  The
-    server leads its own session, so the attempts it forks share its
-    process group: if the server dies, one ``killpg`` ends the orphans.
+    The server is forked from the scheduler process, so it starts with
+    every module the scheduler has imported and costs no interpreter
+    start.  Requests go down one pipe and events come back on another
+    (the protocol is in :mod:`repro.experiments.worker`).  The server
+    leads its own session, so the attempts it forks share its process
+    group: if the server dies, one ``killpg`` ends the orphans.
     """
 
-    #: Seconds to wait for a request's reply, server start-up included.
+    #: Seconds to wait for a request's reply.
     REPLY_TIMEOUT_S = 60.0
 
+    #: The scheduler's pipe ends of every server this process runs.  A
+    #: server forked later must not hold them: a server sees its
+    #: request EOF only once every copy of the write end is closed.
+    _scheduler_fds: set[int] = set()
+
     def __init__(self) -> None:
-        self.process = subprocess.Popen(
-            [sys.executable, "-m", "repro.experiments.worker", FORK_SERVER_FLAG],
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            env=worker_env(),
-            start_new_session=True,
-        )
+        from repro.experiments.worker import serve
+
+        request_r, request_w = os.pipe()
+        event_r, event_w = os.pipe()
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on fork() in a process with another
+            # thread.  The scheduler forks its first server before it
+            # starts any; the child below takes no lock another thread
+            # could hold.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            try:
+                pid = os.fork()
+            except OSError:
+                for fd in (request_r, request_w, event_r, event_w):
+                    os.close(fd)
+                raise
+        if pid == 0:
+            code = 1
+            try:
+                os.setsid()
+                os.dup2(request_r, 0)
+                os.dup2(event_w, 1)
+                for fd in {request_r, request_w, event_r, event_w} - {0, 1}:
+                    os.close(fd)
+                for fd in self._scheduler_fds:
+                    os.close(fd)
+                # Fresh stdio objects: an inherited one may be locked by
+                # a scheduler thread that does not exist here.
+                sys.stdout = open(1, "w", encoding="utf-8", closefd=False)
+                sys.stderr = open(2, "w", encoding="utf-8", closefd=False)
+                # Faults travel by argv and must never apply twice.
+                os.environ.pop(FAULT_ENV, None)
+                code = serve()
+            finally:
+                # Never back into the scheduler: no finally, atexit or
+                # finalizer of the parent may run here.
+                os._exit(code)
+        os.close(request_r)
+        os.close(event_w)
+        self.pid = pid
+        self.returncode: int | None = None
+        self._requests = os.fdopen(request_w, "wb")
+        self._events = event_r
+        self._scheduler_fds.update((request_w, event_r))
         self.alive = True
         self.pids: dict[int, int] = {}
         self.exits: dict[int, int] = {}
@@ -706,8 +753,8 @@ class _ForkServer:
         if not self.alive:
             return
         try:
-            self.process.stdin.write(json.dumps(request).encode() + b"\n")
-            self.process.stdin.flush()
+            self._requests.write(json.dumps(request).encode() + b"\n")
+            self._requests.flush()
         except OSError:
             self._lost()
 
@@ -735,10 +782,9 @@ class _ForkServer:
         """Read the events that arrive within ``timeout`` seconds."""
         if not self.alive:
             return
-        fd = self.process.stdout.fileno()
-        if not select.select([fd], [], [], timeout)[0]:
+        if not select.select([self._events], [], [], timeout)[0]:
             return
-        chunk = os.read(fd, 1 << 16)
+        chunk = os.read(self._events, 1 << 16)
         if not chunk:
             self._lost()
             return
@@ -759,37 +805,42 @@ class _ForkServer:
                 _LOG.error("unexpected fork server event: %r", line)
 
     def _lost(self) -> None:
-        _LOG.warning("fork server %d lost", self.process.pid)
+        _LOG.warning("fork server %d lost", self.pid)
         self.close()
 
     def close(self) -> None:
         """Stop the server and reap it, leaving no attempt running.
 
-        Closing stdin asks the server to SIGKILL and reap its in-flight
-        attempts, then exit.  The server is waited for *without* being
-        reaped, so its pid, and so its process-group id, stays reserved
-        while the group gets a final SIGKILL.  That ends the attempts of
-        a server that died before it could clean up.
+        Closing the request pipe asks the server to SIGKILL and reap its
+        in-flight attempts, then exit; EOF on the event pipe says it is
+        gone.  The server is waited for *without* being reaped, so its
+        pid, and so its process-group id, stays reserved while the group
+        gets a final SIGKILL.  That ends the attempts of a server that
+        died before it could clean up.
         """
-        if self.process.returncode is not None:
+        if self.returncode is not None:
             return  # already reaped: the group id may belong to others now
         self.alive = False
-        for pipe in (self.process.stdin, self.process.stdout):
-            try:
-                pipe.close()
-            except OSError:
-                pass
-        pid = self.process.pid
-        deadline = time.monotonic() + 10.0
-        while hasattr(os, "waitid") and time.monotonic() < deadline:
-            if os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT):
-                break
-            time.sleep(0.005)
+        self._scheduler_fds.difference_update((self._requests.fileno(), self._events))
         try:
-            os.killpg(pid, signal.SIGKILL)
+            self._requests.close()
+        except OSError:
+            pass
+        gone = False
+        deadline = time.monotonic() + 10.0
+        while not gone and (remaining := deadline - time.monotonic()) > 0:
+            if select.select([self._events], [], [], remaining)[0]:
+                gone = not os.read(self._events, 1 << 16)
+        os.close(self._events)
+        if gone and hasattr(os, "waitid"):
+            # Its fds are closed, so the exit is moments away.
+            os.waitid(os.P_PID, self.pid, os.WEXITED | os.WNOWAIT)
+        try:
+            os.killpg(self.pid, signal.SIGKILL)
         except (ProcessLookupError, PermissionError):
             pass
-        self.process.wait()
+        _, status = os.waitpid(self.pid, 0)
+        self.returncode = os.waitstatus_to_exitcode(status)
 
 
 class _ForkedWorkerHandle(WorkerHandle):
@@ -833,33 +884,41 @@ class ThreadBackend:
     Cheap (no interpreter start per shard) but shares the scheduler's
     fate and GIL; a *hung* attempt can be abandoned (its thread parks on
     a stop event) but a thread stuck in native code cannot be killed.
-    The default for tests and small grids.
+    The default for tests and small grids.  :meth:`wait` returns as
+    soon as an attempt thread finishes.
     """
 
     name = "thread"
 
     def __init__(self, injector: FaultInjector | None = None):
         self._injector = injector
+        self._finished = threading.Event()
 
     def dispatch(self, ctx: DispatchContext) -> WorkerHandle:
-        return _ThreadWorkerHandle(ctx, self._injector)
+        return _ThreadWorkerHandle(ctx, self._injector, self._finished)
+
+    def wait(self, timeout: float) -> None:
+        """Return when an attempt finished since the last call, or after
+        ``timeout`` seconds."""
+        self._finished.wait(timeout)
+        self._finished.clear()
 
 
 class ProcessBackend:
     """Runs each shard attempt as a child of one warm fork server.
 
-    The first dispatch starts ``python -m repro.experiments.worker
-    --fork-server``, which imports the worker stack once and then forks
-    one child per attempt.  So a launch pays one interpreter start and
-    one import, not one per attempt, and keeps full fault isolation:
-    an attempt can crash, leak, or be SIGKILLed without touching the
-    scheduler, and the scheduler's kill is a real ``SIGKILL``.  Each
-    child starts from the cold state a fresh interpreter has, so
-    artifacts are byte-identical.  Worker stdout/stderr go to
-    per-attempt log files under ``logs/``.
+    :meth:`start` forks the server from the scheduler process itself,
+    which has already imported the worker stack; the server then forks
+    one child per attempt.  So a launch starts no Python interpreter
+    and imports nothing again, and keeps full fault isolation: an
+    attempt can crash, leak, or be SIGKILLed without touching the
+    scheduler, and the scheduler's kill is a real ``SIGKILL``.
+    Artifacts are deterministic functions of the plan slice, so a child
+    of a warm process writes the same bytes a fresh interpreter would.
+    Worker stdout/stderr go to per-attempt log files under ``logs/``.
 
     If the server dies, its in-flight attempts fail with cause
-    ``fork-server`` and retry normally; the next dispatch starts a new
+    ``fork-server`` and retry normally; the next dispatch forks a new
     server.  :meth:`close` (the scheduler calls it when :meth:`run
     <LaunchScheduler.run>` ends, on every path) stops the server and
     every attempt still running.  :meth:`wait` lets the scheduler sleep
@@ -873,9 +932,15 @@ class ProcessBackend:
     def __init__(self) -> None:
         self._server: _ForkServer | None = None
 
-    def dispatch(self, ctx: DispatchContext) -> WorkerHandle:
+    def start(self) -> None:
+        """Fork the server unless a live one is running.  The scheduler
+        calls this before it starts any thread, so the fork copies a
+        single-threaded process."""
         if self._server is None or not self._server.alive:
             self._server = _ForkServer()
+
+    def dispatch(self, ctx: DispatchContext) -> WorkerHandle:
+        self.start()
         ctx.log_path.parent.mkdir(parents=True, exist_ok=True)
         return _ForkedWorkerHandle(ctx, self._server)
 
@@ -1509,6 +1574,9 @@ class LaunchScheduler:
             if final.exists():
                 shutil.rmtree(final, ignore_errors=True)
             os.replace(handle.staging_path, final)
+            # The rename keeps the validated artifact's mapped column
+            # store valid, so it is merged as read, not read again.
+            artifact.path = final
         self._notify_backend(handle, ok=True)
         if task.state is ShardState.LANDED:
             return
@@ -1520,7 +1588,7 @@ class LaunchScheduler:
             other.kill()
             self._discard_staging(other)
         task.handles.clear()
-        self._merge_in(self._validated_artifact(final, task.shard))
+        self._merge_in(artifact)
         self._register_artifact(final)
         self.journal.append(
             "land",
@@ -1911,21 +1979,26 @@ class LaunchScheduler:
         started = time.time()
         self._started = started
         self._prepare()
-        if self.serve is not None:
-            from repro.experiments.status import StatusServer
-
-            self.status_server = StatusServer(
-                self.snapshot,
-                self.journal_path,
-                address=self.serve,
-                catalog=(
-                    (lambda: self.catalog.summary(self.plan.digest))
-                    if self.catalog is not None
-                    else None
-                ),
-            )
-            self.journal.append("serve", url=self.status_server.url)
         try:
+            start = getattr(self.backend, "start", None)
+            if start is not None:
+                # Before the status thread starts and before any artifact
+                # is loaded: a fork copies only the imports and the spec.
+                start()
+            if self.serve is not None:
+                from repro.experiments.status import StatusServer
+
+                self.status_server = StatusServer(
+                    self.snapshot,
+                    self.journal_path,
+                    address=self.serve,
+                    catalog=(
+                        (lambda: self.catalog.summary(self.plan.digest))
+                        if self.catalog is not None
+                        else None
+                    ),
+                )
+                self.journal.append("serve", url=self.status_server.url)
             if self.resume:
                 self._restore()
             self._adopt_from_catalog()
@@ -1949,10 +2022,10 @@ class LaunchScheduler:
                 self.status_server.close()
 
     def _wait(self) -> None:
-        """Wait for the next scheduler tick.  A backend with an event
-        pipe (``wait``) ends the wait as soon as an attempt exits; the
-        others sleep.  Either way liveness and speculation checks run
-        at least every ``poll_interval``."""
+        """Wait for the next scheduler tick.  A backend with ``wait``
+        (the thread and process backends) ends the wait as soon as an
+        attempt exits; the remote ones sleep.  Either way liveness and
+        speculation checks run at least every ``poll_interval``."""
         wait = getattr(self.backend, "wait", None)
         if wait is None:
             time.sleep(self.poll_interval)

@@ -9,21 +9,23 @@ Two entry points share this module:
   failure).  The ssh and loopback backends
   (:mod:`repro.experiments.remote`) run this CLI once per attempt over
   their transport.
-* ``python -m repro.experiments.worker --fork-server`` is the warm
-  process pool behind :class:`~repro.experiments.scheduler.ProcessBackend`.
-  It imports the worker stack once, runs no sweep work itself and stays
-  single-threaded.  For each attempt it forks a child, which points
-  stdout and stderr at the attempt log, runs the same :func:`main` on
-  the request's arguments and leaves through ``os._exit`` with its
-  code.  A child therefore starts from the cold state a fresh
-  interpreter has, minus the interpreter start and the import.
+* :func:`serve` is the warm process pool behind
+  :class:`~repro.experiments.scheduler.ProcessBackend`.  The scheduler
+  forks it from its own process, with every module it needs already
+  imported, and talks to it over two pipes on the server's fds 0 and 1.
+  The server runs no sweep work itself and stays single-threaded.  For
+  each attempt it forks a child, which points stdout and stderr at the
+  attempt log, runs the same :func:`main` on the request's arguments
+  and leaves through ``os._exit`` with its code.  So an attempt starts
+  from the scheduler's imports and pays no interpreter start and no
+  import of its own.
 
-The fork server speaks JSON lines.  Requests arrive on stdin::
+The fork server speaks JSON lines.  Requests arrive on fd 0::
 
     {"op": "run", "id": 3, "argv": ["--spec", "...", ...], "log": "/path/attempt.log"}
     {"op": "kill", "id": 3}                 SIGKILL attempt 3 if still running
 
-and events leave on stdout::
+and events leave on fd 1::
 
     {"id": 3, "pid": 4242}                  the child was forked
     {"id": 3, "exit": -9}                   it exited (``subprocess`` codes:
@@ -34,11 +36,11 @@ and events leave on stdout::
                                             a malformed request (its id, if
                                             one could be read); nothing forked
 
-On stdin EOF (the scheduler closed it, or died) the server SIGKILLs
-and reaps every child still in flight, then exits 0.  Living in its own
-process means the scheduler can SIGKILL any attempt, an attempt can
-``os._exit`` on an injected crash, and a hang never blocks the
-scheduler loop.
+On request EOF (the scheduler closed its end, or died) the server
+SIGKILLs and reaps every child still in flight, then returns 0.  Living
+in its own process means the scheduler can SIGKILL any attempt, an
+attempt can ``os._exit`` on an injected crash, and a hang never blocks
+the scheduler loop.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ from pathlib import Path
 from typing import Any, NoReturn
 
 from repro.experiments.scheduler import (
-    FORK_SERVER_FLAG,
     FaultInjector,
     FaultSpec,
     execute_shard_attempt,
@@ -199,7 +200,7 @@ def _run_child(argv: list[str], log: str, server_fds: tuple[int, ...]) -> NoRetu
 
 
 def serve() -> int:
-    """Run the fork server until stdin closes (see the module docstring)."""
+    """Run the fork server until fd 0 closes (see the module docstring)."""
     events = os.fdopen(os.dup(1), "w", buffering=1, encoding="utf-8")
     # Stray output of the server must never corrupt the event stream.
     os.dup2(2, 1)
@@ -279,7 +280,7 @@ def serve() -> int:
     except BrokenPipeError:
         return 0  # the scheduler is gone; nobody is left to tell
     finally:
-        # Stdin EOF, or the scheduler's end of the event pipe is gone:
+        # Request EOF, or the scheduler's end of the event pipe is gone:
         # no attempt may outlive the server.
         for pid in children:
             try:
@@ -290,6 +291,4 @@ def serve() -> int:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] == [FORK_SERVER_FLAG]:
-        sys.exit(serve())
     sys.exit(main())

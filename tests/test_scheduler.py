@@ -47,6 +47,7 @@ from repro.experiments.scheduler import (
     RetryPolicy,
     ThreadBackend,
     WorkerHandle,
+    _ForkServer,
 )
 from repro.experiments.sharding import (
     ShardArtifact,
@@ -385,6 +386,41 @@ class TestLaunchScenarios:
         assert land["speculative"] is True
         assert_csv_identical(report, monolithic_csv)
 
+    def test_each_landed_artifact_is_read_once(
+        self, tmp_path, monkeypatch, monolithic_csv
+    ):
+        reads = []
+        read = ShardArtifact.read.__func__
+
+        def counting(cls, path):
+            reads.append(Path(path))
+            return read(cls, path)
+
+        monkeypatch.setattr(ShardArtifact, "read", classmethod(counting))
+        report = fast_scheduler(
+            tmp_path / "run", shard_count=4, csv_path=tmp_path / "out.csv"
+        ).run()
+        assert report.complete
+        assert len(reads) == 4  # the validation in _reap, nothing more
+        assert_csv_identical(report, monolithic_csv)
+
+    def test_thread_backend_wait_ends_when_an_attempt_exits(
+        self, tmp_path, monolithic_csv
+    ):
+        # Four shards one after another: a scheduler that slept out its
+        # poll interval between them would take 15 s or more.
+        started = time.monotonic()
+        report = fast_scheduler(
+            tmp_path / "run",
+            shard_count=4,
+            max_workers=1,
+            poll_interval=5.0,
+            csv_path=tmp_path / "out.csv",
+        ).run()
+        assert report.complete and report.dispatches == 4
+        assert time.monotonic() - started < 5.0
+        assert_csv_identical(report, monolithic_csv)
+
 
 # ---------------------------------------------------------------------- #
 # Integration: process backend (real kills) and crash-safe resume
@@ -546,10 +582,11 @@ class TestProcessBackendAndResume:
 #: must have no child left, live or zombie.
 _NO_CHILD_SCRIPT = textwrap.dedent(
     """
-    import os, sys
-    from repro.experiments import SweepSpec
+    import os, signal, sys
+    from repro.experiments import SweepRunner, SweepSpec
     from repro.experiments.scheduler import (
-        FaultInjector, FaultSpec, LaunchScheduler, RetryPolicy,
+        FaultInjector, FaultSpec, LaunchScheduler, ProcessBackend,
+        RetryPolicy,
     )
 
     SPEC = SweepSpec(
@@ -564,6 +601,16 @@ _NO_CHILD_SCRIPT = textwrap.dedent(
         def _land(self, *args):
             raise Boom("scheduler bug")
 
+    class KillServerOnce(ProcessBackend):
+        killed = False
+
+        def dispatch(self, ctx):
+            handle = super().dispatch(ctx)
+            if not self.killed:
+                self.killed = True
+                os.kill(self._server.pid, signal.SIGKILL)
+            return handle
+
     def no_child():
         try:
             os.waitpid(-1, os.WNOHANG)
@@ -572,13 +619,13 @@ _NO_CHILD_SCRIPT = textwrap.dedent(
         return False
 
     def launch(cls, name, **kwargs):
-        return cls(
-            os.path.join(sys.argv[1], name), SPEC, 4, backend="process",
-            max_workers=4, poll_interval=0.01, speculate=False,
-            use_env_faults=False,
+        options = dict(
+            backend="process", max_workers=4, poll_interval=0.01,
+            speculate=False, use_env_faults=False,
             retry=RetryPolicy(max_attempts=1, base_delay_s=0.01, jitter=0.0),
-            **kwargs,
-        ).run()
+        )
+        options.update(kwargs)
+        return cls(os.path.join(sys.argv[1], name), SPEC, 4, **options).run()
 
     complete = launch(LaunchScheduler, "complete")
     print("complete", complete.exit_code, no_child())
@@ -590,12 +637,23 @@ _NO_CHILD_SCRIPT = textwrap.dedent(
         launch(RaiseOnLanding, "raising")
     except Boom:
         print("raising", "raised", no_child())
+    # The respawn forks while the status server's thread is alive.
+    mono = os.path.join(sys.argv[1], "mono.csv")
+    SweepRunner(SPEC).run().write_csv(mono)
+    respawned = launch(
+        LaunchScheduler, "respawned", backend=KillServerOnce(),
+        serve="127.0.0.1:0", csv_path=os.path.join(sys.argv[1], "out.csv"),
+        retry=RetryPolicy(max_attempts=4, base_delay_s=0.01, jitter=0.0),
+    )
+    with open(mono, "rb") as handle:
+        same = handle.read() == respawned.csv_path.read_bytes()
+    print("respawned", respawned.exit_code, same, no_child())
     """
 )
 
 
 class TestForkServer:
-    def test_a_launch_starts_one_interpreter(
+    def test_a_launch_starts_no_interpreter(
         self, tmp_path, monkeypatch, monolithic_csv
     ):
         spawned = []
@@ -613,7 +671,7 @@ class TestForkServer:
             csv_path=tmp_path / "out.csv",
         ).run()
         assert report.complete and report.dispatches == 4
-        assert len(spawned) == 1
+        assert spawned == []  # the server is forked from this process
         assert_csv_identical(report, monolithic_csv)
 
     def test_no_child_survives_run_on_any_path(self, tmp_path):
@@ -625,10 +683,11 @@ class TestForkServer:
             timeout=120,
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.split("\n")[:3] == [
+        assert result.stdout.split("\n")[:4] == [
             f"complete {EXIT_COMPLETE} True",
             f"partial {EXIT_PARTIAL} True",
             "raising raised True",
+            f"respawned {EXIT_COMPLETE} True True",
         ]
 
     def test_injected_hard_crash_is_journalled_as_exit_70(
@@ -660,7 +719,7 @@ class TestForkServer:
                 handle = super().dispatch(ctx)
                 if not self.killed:
                     self.killed = True
-                    os.kill(self._server.process.pid, signal.SIGKILL)
+                    os.kill(self._server.pid, signal.SIGKILL)
                 return handle
 
         report = fast_scheduler(
@@ -680,24 +739,49 @@ class TestForkServer:
         assert_csv_identical(report, monolithic_csv)
 
     def test_malformed_request_gets_a_typed_error_reply(self):
-        with subprocess.Popen(
-            [sys.executable, "-m", "repro.experiments.worker", "--fork-server"],
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            env=_repro_env(),
-        ) as server:
-            server.stdin.write(b'not json\n{"op": "run", "id": 7}\n')
-            server.stdin.flush()
-            first = json.loads(server.stdout.readline())
-            second = json.loads(server.stdout.readline())
-            assert server.poll() is None  # still serving
-            server.stdin.close()
-            code = server.wait(timeout=30)
+        server = _ForkServer()
+        try:
+            server._requests.write(b'not json\n{"op": "run", "id": 7}\n')
+            server._requests.flush()
+            with os.fdopen(os.dup(server._events), "rb") as events:
+                first = json.loads(events.readline())
+                second = json.loads(events.readline())
+            assert os.waitpid(server.pid, os.WNOHANG) == (0, 0)  # still serving
+        finally:
+            server.close()
         assert (first["id"], first["error"]) == (None, "bad-request")
         assert "not JSON" in first["detail"]
         assert (second["id"], second["error"]) == (7, "bad-request")
         assert "argv" in second["detail"]
-        assert code == 0
+        assert server.returncode == 0
+
+    def test_attempts_do_not_see_the_fault_env(
+        self, tmp_path, monkeypatch, monolithic_csv
+    ):
+        from repro.experiments import worker
+
+        real = worker.execute_shard_attempt
+
+        def recording(*args, **kwargs):
+            print("fault-env", os.environ.get("REPRO_FAULT_SPEC"), flush=True)
+            return real(*args, **kwargs)
+
+        # Patched before the server is forked, so its children run it.
+        monkeypatch.setattr(worker, "execute_shard_attempt", recording)
+        monkeypatch.setenv("REPRO_FAULT_SPEC", "crash:1.0")
+        report = fast_scheduler(
+            tmp_path / "run",
+            backend="process",
+            shard_count=2,
+            csv_path=tmp_path / "out.csv",
+        ).run()
+        assert report.complete and report.dispatches == 2
+        assert os.environ["REPRO_FAULT_SPEC"] == "crash:1.0"
+        logs = sorted((tmp_path / "run" / "logs").glob("*.log"))
+        assert len(logs) == 2
+        for log in logs:
+            assert "fault-env None" in log.read_text()
+        assert_csv_identical(report, monolithic_csv)
 
 
 # ---------------------------------------------------------------------- #
